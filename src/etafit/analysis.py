@@ -54,16 +54,26 @@ class AsymptoteCoefficients:
     large_n_approx: bool
 
 
-def spectrum_bounds(K) -> SpectrumSummary:
-    """Extreme eigenvalues of K, dense solve for small n, iterative otherwise."""
+def spectrum_bounds(K, eigvals: np.ndarray | None = None) -> SpectrumSummary:
+    """Extreme eigenvalues of K.
+
+    Read off ``eigvals`` (ascending, such as a dense Solver's spectrum)
+    when the spectrum is already known; otherwise two subset eigensolves
+    for dense K, or ``eigsh`` for sparse K.
+    """
+    if eigvals is not None:
+        return SpectrumSummary(float(eigvals[0]), float(eigvals[-1]))
     is_corr = isinstance(K, CorrelationMatrix)
     if is_corr and K.storage == "sparse":
         A = K.entries
+        # a seeded start vector (ARPACK's own is drawn afresh per call) makes
+        # the bounds, and so every sparse estimate, reproducible
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])
         try:
             lam_max = float(spla.eigsh(A, k=1, which="LA", tol=SPARSE_EIG_TOL,
-                                       return_eigenvectors=False)[0])
+                                       v0=v0, return_eigenvectors=False)[0])
             lam_min = float(spla.eigsh(A, k=1, sigma=0.0, which="LM",
-                                       tol=SPARSE_EIG_TOL,
+                                       tol=SPARSE_EIG_TOL, v0=v0,
                                        return_eigenvectors=False)[0])
         except Exception as exc:
             raise NumericError(f"sparse eigensolve failed: {exc}") from None

@@ -311,11 +311,11 @@ def cmd_plotdata(args) -> int:
     kernel = parse_kernel(args.kernel)
     model = build_model(dataset, basis, kernel)
     solver = default_solver(model.K)
-    traces = ExactTraceProvider(model.K)
+    traces = ExactTraceProvider(model.K, solver.eigvals)
 
     lo, hi = parse_pair(args.eta_range)
     etas = np.logspace(math.log10(lo), math.log10(hi), args.grid_points)
-    spectrum = analysis.spectrum_bounds(model.K)
+    spectrum = analysis.spectrum_bounds(model.K, solver.eigvals)
     large_n = model.n > analysis.LARGE_N_FACTOR * model.m
     coeffs = analysis.asymptote_coefficients(model, large_n)
 
@@ -346,9 +346,10 @@ def cmd_trace_interp(args) -> int:
     print(f"fitted tau interpolant: n={interp.n} nodes={list(interp.nodes)} "
           f"method={interp.method} cond={interp.cond:.3g}")
     if args.check:
-        from .traces import eval_tau, trace_inv_cholesky
+        from .traces import eval_tau
+        exact_traces = ExactTraceProvider(K, solver.eigvals)
         for e in np.logspace(-3, 3, 13):
-            exact = trace_inv_cholesky(K, e)
+            exact = exact_traces(e)
             approx = interp.n * eval_tau(interp, e)
             rel = abs(approx - exact) / exact
             print(f"eta={e:10.4g}  interp={approx:12.6g}  "
@@ -366,11 +367,14 @@ def _add_estimation_flags(p):
     p.add_argument("--thresholds", default=None, metavar="c,C",
                    help="interior classification thresholds")
     p.add_argument("--trace-method", default=None,
-                   choices=["auto", "eigen", "cholesky", "hutchinson"])
+                   choices=["auto", "eigen", "cholesky", "hutchinson"],
+                   help="how the trace interpolant is fitted (sparse K; "
+                        "dense runs use exact traces)")
     p.add_argument("--nodes", default=None,
                    help="trace interpolation nodes, comma separated")
     p.add_argument("--exact-traces", action="store_true",
-                   help="disable trace interpolation (validation runs)")
+                   help="disable trace interpolation on sparse K "
+                        "(validation runs)")
     p.add_argument("--trace-interp", default=None, metavar="JSON",
                    help="reuse a trace interpolant fitted by trace-interp")
     p.add_argument("--seed", type=int, default=None)

@@ -19,7 +19,8 @@ import numpy as np
 from . import analysis, likelihood
 from .errors import (BracketError, ConvergenceError, InputError,
                      NumericError)
-from .model import GpModel, HyperParams, Solver, default_solver
+from .model import (JITTER_SCALE, GpModel, HyperParams, Solver,
+                    default_solver)
 from .traces import (DEFAULT_NODES, ExactTraceProvider,
                      HutchinsonTraceProvider, InterpolantTraceProvider,
                      fit_tau_interpolant)
@@ -271,6 +272,8 @@ class EstimateConfig:
     f_tol_scale: float = 1e-8       # derivative tolerance = scale * (n - m)
     max_root_iter: int = 100
     scan_probes: int = 24
+    # The trace fields below apply to solvers without a spectrum (CG on
+    # sparse K); the dense eigenbasis backend always uses exact traces.
     use_trace_interpolant: bool = True
     exact_traces: bool = False      # force exact traces (validation runs)
     trace_nodes: tuple = DEFAULT_NODES
@@ -327,24 +330,23 @@ def _jsonable(obj):
 # Profiled estimator
 # ----------------------------------------------------------------------
 
-class _LazyExactTraces:
-    """Defer the exact-trace construction until the second-derivative check."""
+def classify_outcome(eta: float, config: EstimateConfig) -> str:
+    """Interior inside [c, C]; error-dominated below c (and at eta = 0),
+    noise-dominated above C (and at eta = inf)."""
+    if eta == 0.0 or eta < config.c_threshold:
+        return OUTCOME_ERROR
+    if math.isinf(eta) or eta > config.C_threshold:
+        return OUTCOME_NOISE
+    return OUTCOME_INTERIOR
 
-    def __init__(self, model: GpModel, solver: Solver, config: EstimateConfig):
-        self._model = model
-        self._solver = solver
-        self._config = config
-        self._provider = None
 
-    def __call__(self, eta: float, power: int = 1) -> float:
-        if self._provider is None:
-            if self._model.K.storage == "sparse":
-                self._provider = HutchinsonTraceProvider(
-                    self._model.K, self._solver,
-                    self._config.hutchinson_vectors, self._config.seed)
-            else:
-                self._provider = ExactTraceProvider(self._model.K)
-        return self._provider(eta, power)
+def _exact_traces(model: GpModel, solver: Solver, config: EstimateConfig):
+    """Exact traces from the solver's spectrum; Hutchinson estimates for a
+    CG solver on sparse K, where no spectrum is formed."""
+    if solver.eigvals is None and model.K.storage == "sparse":
+        return HutchinsonTraceProvider(model.K, solver,
+                                       config.hutchinson_vectors, config.seed)
+    return ExactTraceProvider(model.K, solver.eigvals)
 
 
 def _degenerate_report(model: GpModel, started: float) -> EstimationReport:
@@ -364,6 +366,11 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     Pipeline: spectrum bounds -> asymptote advisory -> search interval ->
     derivative sign scan -> bracketed root finding -> candidate selection
     against the boundary estimates -> threshold classification.
+
+    With the dense eigenbasis solver (the default for dense K) the spectrum
+    and every trace are exact and come from its one eigendecomposition.
+    Solvers without a spectrum (CG) fit the trace interpolant instead,
+    unless ``config`` asks for exact traces.
     """
     started = time.perf_counter()
     config = config or EstimateConfig()
@@ -376,7 +383,12 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     warnings_out: list[str] = []
 
     # --- pre-computation: spectrum, asymptotes, traces -----------------
-    spectrum = analysis.spectrum_bounds(model.K)
+    spectrum = analysis.spectrum_bounds(model.K, solver.eigvals)
+    if solver.jitter > 2.0 * JITTER_SCALE * n:
+        warnings_out.append(
+            f"K is indefinite (lambda_min = "
+            f"{spectrum.lambda_min - solver.jitter:.3e}); solves, "
+            f"log-determinants and traces use K + {solver.jitter:.3e} I")
     if config.large_n_approx == "auto":
         large_n = n > analysis.LARGE_N_FACTOR * m
     else:
@@ -386,17 +398,19 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     roots2 = analysis.asymptote_roots(coeffs, 2)
     interval = analysis.search_interval(spectrum, roots1 + roots2)
 
-    exact_traces = _LazyExactTraces(model, solver, config)
+    if (config.trace_interpolant is not None
+            and config.trace_interpolant.n != n):
+        raise InputError(
+            f"trace interpolant was fitted for n={config.trace_interpolant.n}"
+            f" but the model has n={n}")
+    exact_traces = _exact_traces(model, solver, config)
     interp = None
-    if config.exact_traces or not config.use_trace_interpolant:
+    if (solver.eigvals is not None or config.exact_traces
+            or not config.use_trace_interpolant):
         traces = exact_traces
     else:
         if config.trace_interpolant is not None:
             interp = config.trace_interpolant
-            if interp.n != n:
-                raise InputError(
-                    f"trace interpolant was fitted for n={interp.n} but the "
-                    f"model has n={n}")
         else:
             interp = fit_tau_interpolant(
                 model.K, config.trace_nodes, config.trace_method, solver,
@@ -486,11 +500,11 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     ell_inf, sigma02_inf = likelihood.ell_infinite_eta(model)
     counters["ell"] += 1  # the closed-form eta->inf likelihood evaluation
 
-    candidates = [("root", ev.eta, ev.ell, ev) for ev, _ in root_candidates]
+    candidates = [(ev.eta, ev.ell, ev) for ev, _ in root_candidates]
     if ev_zero is not None:
-        candidates.append(("eta_zero", 0.0, ev_zero.ell, ev_zero))
-    candidates.append(("eta_inf", math.inf, ell_inf, None))
-    kind, eta_hat, ell_max, ev_best = max(candidates, key=lambda c: c[2])
+        candidates.append((0.0, ev_zero.ell, ev_zero))
+    candidates.append((math.inf, ell_inf, None))
+    eta_hat, ell_max, ev_best = max(candidates, key=lambda c: c[1])
 
     if not root_candidates and ev_zero is not None:
         if abs(ev_zero.ell - ell_inf) <= 1e-9 * max(1.0, abs(ell_inf)):
@@ -498,17 +512,15 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
                                 "candidates are indistinguishable")
 
     # --- classification --------------------------------------------------
-    c_thr, C_thr = config.c_threshold, config.C_threshold
-    if kind == "root" and c_thr <= eta_hat <= C_thr:
-        outcome = OUTCOME_INTERIOR
+    # A root outside [c, C] is reported as the boundary estimate; ell_max
+    # stays the best candidate's likelihood, so it is continuous in K.
+    outcome = classify_outcome(eta_hat, config)
+    if outcome == OUTCOME_INTERIOR:
         hp = HyperParams.from_sigma2_eta(ev_best.sigma2_hat, eta_hat)
-    elif kind == "eta_zero" or (kind == "root" and eta_hat < c_thr):
-        outcome = OUTCOME_ERROR
-        sigma2 = ev_zero.sigma2_hat if ev_zero is not None else \
-            likelihood.sigma2_hat(model, 0.0, solver)
-        hp = HyperParams(sigma2, 0.0, 0.0)
+    elif outcome == OUTCOME_ERROR:
+        ev_zero = ev_zero or eval_profile(0.0)
+        hp = HyperParams(ev_zero.sigma2_hat, 0.0, 0.0)
     else:
-        outcome = OUTCOME_NOISE
         hp = HyperParams(0.0, sigma02_inf, math.inf)
 
     total = time.perf_counter() - started
@@ -585,16 +597,11 @@ def direct_variances(model: GpModel, init=(0.1, 0.1), tol: float = 1e-6,
     sigma, sigma0 = res.x
     eta = (sigma0 / sigma) ** 2
     hp = HyperParams(sigma ** 2, sigma0 ** 2, eta)
-    if eta < config.c_threshold:
-        outcome = OUTCOME_ERROR
-    elif eta > config.C_threshold:
-        outcome = OUTCOME_NOISE
-    else:
-        outcome = OUTCOME_INTERIOR
     total = time.perf_counter() - started
     return EstimationReport(
         hyperparams=hp, ell_max=-res.fun, n_ell_evals=counters["ell"],
-        n_root_iters=0, method=METHOD_DIRECT, outcome=outcome,
+        n_root_iters=0, method=METHOD_DIRECT,
+        outcome=classify_outcome(eta, config),
         diagnostics={"converged": res.converged, "nm_iters": res.n_iters,
                      "timing": {"total": total}},
         warnings=[] if res.converged else
@@ -625,7 +632,7 @@ def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
     if not np.isfinite(priors.log_pdf(alpha0, nu0)):
         raise InputError("initial point is outside the prior support")
     counters = {"ell": 0, "deriv": 0, "root_iters": 0, "inner": 0,
-                "failures": 0}
+                "failures": 0, "singular": 0}
 
     def objective(u):
         alpha, nu = 10.0 ** u[0], 10.0 ** u[1]
@@ -642,6 +649,12 @@ def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
             return math.inf
         if rep.outcome == OUTCOME_DEGENERATE:
             counters["failures"] += 1
+            return math.inf
+        if rep.outcome == OUTCOME_ERROR and rep.diagnostics["jitter"] > 0.0:
+            # sigma0 = 0 on a K that is singular at working precision: the
+            # reported covariance sigma2 K is itself singular, and its
+            # likelihood is set by the jitter, not by the data
+            counters["singular"] += 1
             return math.inf
         counters["ell"] += rep.n_ell_evals
         counters["deriv"] += rep.n_deriv_evals
@@ -669,6 +682,7 @@ def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
             "n_posterior_evals": res.n_evals,
             "n_inner_runs": counters["inner"],
             "n_inner_failures": counters["failures"],
+            "n_singular_rejections": counters["singular"],
             "converged": res.converged,
             "timing": {"total": total},
         },
@@ -677,13 +691,16 @@ def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
 
 
 def direct_optimize(model_builder, init4, priors: PriorSpec | None = None,
-                    tol: float = 1e-4, max_evals: int = 3000) -> EstimationReport:
+                    tol: float = 1e-4, max_evals: int = 3000,
+                    config: EstimateConfig | None = None) -> EstimationReport:
     """Direct 4-D Nelder-Mead over (alpha, nu, sigma, sigma0); baseline.
 
     Reports the converged point even when it is a non-global local
-    maximum of the posterior.
+    maximum of the posterior.  ``config`` supplies the classification
+    thresholds.
     """
     started = time.perf_counter()
+    config = config or EstimateConfig()
     priors = priors or PriorSpec()
     counters = {"ell": 0}
     solver_cache: dict[tuple, tuple] = {}
@@ -722,15 +739,10 @@ def direct_optimize(model_builder, init4, priors: PriorSpec | None = None,
     hp = HyperParams(sigma ** 2, sigma0 ** 2, eta)
     lp = priors.log_pdf(alpha_hat, nu_hat)
     total = time.perf_counter() - started
-    if eta < 1e-4:
-        outcome = OUTCOME_ERROR
-    elif eta > 1e4:
-        outcome = OUTCOME_NOISE
-    else:
-        outcome = OUTCOME_INTERIOR
     return EstimationReport(
         hyperparams=hp, ell_max=-res.fun - lp, n_ell_evals=counters["ell"],
-        n_root_iters=0, method=METHOD_DIRECT, outcome=outcome,
+        n_root_iters=0, method=METHOD_DIRECT,
+        outcome=classify_outcome(eta, config),
         alpha_hat=float(alpha_hat), nu_hat=float(nu_hat),
         diagnostics={"log_posterior": -res.fun, "converged": res.converged,
                      "nm_iters": res.n_iters, "timing": {"total": total}},

@@ -51,22 +51,30 @@ def _cdot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _pieces(model: GpModel, eta: float, solver: Solver) -> SimpleNamespace:
-    """Shared per-eta quantities: Y = Kinv X, the m x m factor, w = M z."""
-    Y = solver.solve(eta, model.X.entries)
-    B = model.X.entries.T @ Y
+    """Shared per-eta quantities in the solver's basis: z, Y = Kinv X, the
+    m x m factor of X' Kinv X, and w = M z.
+
+    The basis is orthonormal, so inner products and traces computed from
+    these equal those of the standard basis.
+    """
+    z, X = solver.model_in_basis(model)
+    Y = solver.solve_in_basis(eta, X)
+    B = X.T @ Y
     try:
         B_factor = sla.cho_factor(B, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"X' K_eta^{{-1}} X is singular: {exc}") from None
-    u = solver.solve(eta, model.z)
-    w = u - Y @ sla.cho_solve(B_factor, Y.T @ model.z, check_finite=False)
+    u = solver.solve_in_basis(eta, z)
+    w = u - Y @ sla.cho_solve(B_factor, Y.T @ z, check_finite=False)
     logdet_B = 2.0 * float(np.sum(np.log(np.diag(B_factor[0]))))
-    return SimpleNamespace(Y=Y, B_factor=B_factor, w=w, logdet_B=logdet_B)
+    return SimpleNamespace(z=z, Y=Y, B_factor=B_factor, w=w,
+                           logdet_B=logdet_B)
 
 
-def _m_action(model: GpModel, eta: float, solver: Solver, pieces,
+def _m_action(eta: float, solver: Solver, pieces,
               v: np.ndarray) -> np.ndarray:
-    t = solver.solve(eta, v)
+    """M v for v in the solver's basis."""
+    t = solver.solve_in_basis(eta, v)
     return t - pieces.Y @ sla.cho_solve(pieces.B_factor, pieces.Y.T @ v,
                                         check_finite=False)
 
@@ -85,7 +93,7 @@ def _trace_m1(pieces, eta: float, traces) -> float:
 
 
 def _trace_m1_sq(eta: float, solver: Solver, pieces, traces) -> float:
-    V = solver.solve(eta, pieces.Y)
+    V = solver.solve_in_basis(eta, pieces.Y)
     C = sla.cho_solve(pieces.B_factor, pieces.Y.T @ V, check_finite=False)
     A = sla.cho_solve(pieces.B_factor, pieces.Y.T @ pieces.Y,
                       check_finite=False)
@@ -96,11 +104,11 @@ def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
               want_ell: bool, want_second: bool) -> LikelihoodEval:
     _require_nondegenerate(model)
     if traces is None:
-        traces = ExactTraceProvider(model.K)
+        traces = ExactTraceProvider(model.K, solver.eigvals)
     n, m = model.n, model.m
     pieces = _pieces(model, eta, solver)
 
-    z_m_z = _cdot(model.z, pieces.w)
+    z_m_z = _cdot(pieces.z, pieces.w)
     z_m2_z = _cdot(pieces.w, pieces.w)
     s2 = z_m_z / (n - m)
     if s2 <= 0:
@@ -120,7 +128,7 @@ def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
     ev = LikelihoodEval(eta=eta, sigma2_hat=s2, ell=ell, d_ell=d_ell,
                         z_m_z=z_m_z, z_m2_z=z_m2_z, trace_m1=t_m1)
     if want_second:
-        mw = _m_action(model, eta, solver, pieces, pieces.w)
+        mw = _m_action(eta, solver, pieces, pieces.w)
         ev.z_m3_z = _cdot(pieces.w, mw)
         ev.trace_m1_sq = _trace_m1_sq(eta, solver, pieces, traces)
         ev.d2_ell = 0.5 * (ev.trace_m1_sq - 2.0 * ev.z_m3_z / s2
@@ -132,14 +140,14 @@ def sigma2_hat(model: GpModel, eta: float, solver: Solver) -> float:
     """Profiled error variance z' M_{1,eta} z / (n - m); strictly positive."""
     _require_nondegenerate(model)
     pieces = _pieces(model, eta, solver)
-    return _cdot(model.z, pieces.w) / (model.n - model.m)
+    return _cdot(pieces.z, pieces.w) / (model.n - model.m)
 
 
 def log_marginal_likelihood(model: GpModel, sigma2: float, eta: float,
                             solver: Solver) -> float:
     """Log marginal likelihood at given (sigma2, eta).
 
-    Uses |Sigma| = sigma^(2n) |K_eta| via the Cholesky log-determinant and
+    Uses |Sigma| = sigma^(2n) |K_eta| via the solver's log-determinant and
     the dense m x m determinant of X' K_eta^{-1} X.
     """
     _require_nondegenerate(model)
@@ -147,7 +155,7 @@ def log_marginal_likelihood(model: GpModel, sigma2: float, eta: float,
         raise InputError(f"sigma2 must be positive, got {sigma2}")
     n, m = model.n, model.m
     pieces = _pieces(model, eta, solver)
-    z_m_z = _cdot(model.z, pieces.w)
+    z_m_z = _cdot(pieces.z, pieces.w)
     return (-0.5 * (n - m) * LOG_2PI
             - 0.5 * (n - m) * math.log(sigma2)
             - 0.5 * solver.logdet(eta)
@@ -182,7 +190,8 @@ def profile_ell(model: GpModel, eta: float, solver: Solver,
     """Evaluate the profiled likelihood and its eta-derivatives at one point.
 
     ``traces`` is a provider callable (eta, power) -> trace(K_eta^{-power});
-    when omitted, exact traces are computed from the spectrum of K.
+    when omitted, exact traces are read from the dense solver's spectrum
+    (or, for a CG solver, from a full eigendecomposition of K).
     """
     return _evaluate(model, eta, solver, traces, want_ell=True,
                      want_second=second_order)
@@ -200,8 +209,8 @@ def d_ell_deta(model: GpModel, eta: float, solver: Solver,
 
 def d2_ell_deta2(model: GpModel, eta: float, solver: Solver,
                  traces=None) -> float:
-    """Second total derivative; needs z'M^3 z and trace(M^2), computed exactly
-    on dense paths (or via the provider's power-2 route)."""
+    """Second total derivative; needs z'M^3 z and trace(M^2), the latter
+    from the provider's power-2 route."""
     return _evaluate(model, eta, solver, traces, want_ell=False,
                      want_second=True).d2_ell
 

@@ -2,7 +2,9 @@
 
 The central object is M_{1,eta} = Kinv - Kinv X (X' Kinv X)^{-1} X' Kinv
 with Kinv = (K + eta I)^{-1}, applied through linear solves rather than
-materialized.  The m x m inner system is always solved densely.
+materialized.  Dense K is diagonalized once, so each solve is a diagonal
+scaling; sparse K is solved by conjugate gradients.  The m x m inner
+system is always solved densely.
 """
 
 from __future__ import annotations
@@ -19,15 +21,21 @@ from .design import DesignMatrix
 from .errors import InputError, ModelError, SolverError
 from .kernels import CorrelationMatrix
 
-# Dense Cholesky is the default solver up to this size; beyond it (or for
-# sparse storage) conjugate gradients takes over.
-DENSE_SOLVER_MAX_N = 4096
-
 # Degeneracy flag: z counts as lying in range(X) when the projection
 # residual is below this fraction of ||z||.
 DEGENERACY_RTOL = 1e-12
 
+# Rounding floor of the spectrum, per point: eigenvalues of a correlation
+# matrix within JITTER_SCALE * n of zero are indistinguishable from it.
 JITTER_SCALE = 1e-10
+
+
+def spectral_jitter(lambda_min: float, n: int) -> float:
+    """The one diagonal shift applied to K: it lifts the smallest eigenvalue
+    to the rounding floor JITTER_SCALE * n, and is 0 when K already clears
+    it.  Solves, log-determinants, traces and the reported spectrum all use
+    K + jitter I."""
+    return max(0.0, JITTER_SCALE * n - lambda_min)
 
 
 @dataclass
@@ -68,75 +76,84 @@ class HyperParams:
 
 
 class Solver:
-    """Linear solver for K_eta systems with a per-eta factorization cache.
+    """Solves and log-determinants of K_eta = K + eta I for one correlation
+    matrix.
 
-    ``method`` is "dense_cholesky" or "cg".  A solver instance is bound to
-    one correlation matrix; caches must not be shared across estimation
-    runs on different matrices.
+    ``method`` "dense" factors K = U diag(lam) U' once (LAPACK ``evd``
+    driver).  Every per-eta quantity is then diagonal in the eigenbasis: a
+    solve scales by 1 / (lam + eta), log det K_eta = sum log(lam + eta), and
+    ``eigvals`` gives trace(K_eta^-p) = sum (lam + eta)^-p.  ``eigvals``
+    already carries ``jitter`` (see ``spectral_jitter``), so every one of
+    these describes K + jitter I.
+
+    ``method`` "cg" runs conjugate gradients on the stored (sparse) matrix,
+    with sparse-LU log-determinants; it has no spectrum (``eigvals`` is
+    None) and applies no jitter.
+
+    Work in the *basis* of the solver (``model_in_basis``,
+    ``solve_in_basis``) is how the likelihood avoids n x n work per eta:
+    the eigenbasis on the dense path, the standard basis on the CG path.
+    A solver is bound to one correlation matrix.
     """
 
-    # Factorizations are O(n^2) memory each; cap how many stay cached so a
-    # long optimization sweep over many eta values cannot exhaust memory.
-    FACTOR_CACHE_SIZE = 48
-
-    def __init__(self, K: CorrelationMatrix, method: str = "dense_cholesky",
+    def __init__(self, K: CorrelationMatrix, method: str = "dense",
                  tol: float = 1e-10, max_iter: int | None = None):
-        if method not in ("dense_cholesky", "cg"):
+        if method not in ("dense", "cg"):
             raise InputError(f"unknown solver method {method!r}")
-        if method == "dense_cholesky" and K.storage == "sparse":
-            self._K_dense = K.toarray()
-        else:
-            self._K_dense = K.entries if K.storage == "dense" else None
         self.K = K
         self.method = method
         self.tol = tol
         self.max_iter = max_iter if max_iter is not None else 10 * K.n
         self.jitter = 0.0
-        self._factors: dict[float, tuple] = {}
+        self.eigvals = None
+        self._U = None
+        self._rotated = None
         self._logdets: dict[float, float] = {}
+        if method == "dense":
+            try:
+                lam, self._U = sla.eigh(K.toarray(), driver="evd",
+                                        check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"eigendecomposition of K failed: {exc}") \
+                    from None
+            self.jitter = spectral_jitter(float(lam[0]), K.n)
+            self.eigvals = lam + self.jitter
 
-    # -- dense path ---------------------------------------------------
+    # -- working basis -----------------------------------------------------
 
-    def _factorize(self, eta: float):
-        if eta in self._factors:
-            return self._factors[eta]
-        n = self.K.n
-        A = self._K_dense + (eta + self.jitter) * np.eye(n)
-        try:
-            factor = sla.cho_factor(A, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            if self.jitter == 0.0:
-                # tapering or duplicate points can push K slightly indefinite
-                self.jitter = JITTER_SCALE * n
-                return self._factorize(eta)
-            raise SolverError(
-                f"Cholesky factorization of K + {eta} I failed even with "
-                f"jitter {self.jitter}") from None
-        if len(self._factors) >= self.FACTOR_CACHE_SIZE:
-            self._factors.pop(next(iter(self._factors)))
-        self._factors[eta] = factor
-        self._logdets[eta] = 2.0 * float(
-            np.sum(np.log(np.diag(factor[0]))))
-        return factor
+    def model_in_basis(self, model: GpModel) -> tuple:
+        """(z, X) of ``model`` in the solver's basis: (U'z, U'X) on the
+        dense path, rotated once for the model the solver last served;
+        z and X themselves for CG."""
+        if self._U is None:
+            return model.z, model.X.entries
+        if self._rotated is None or self._rotated[0] is not model:
+            self._rotated = (model, self._U.T @ model.z,
+                             self._U.T @ model.X.entries)
+        return self._rotated[1], self._rotated[2]
+
+    def solve_in_basis(self, eta: float, B: np.ndarray) -> np.ndarray:
+        """K_eta^{-1} B with B and the result in the solver's basis."""
+        _check_eta(eta)
+        if self._U is None:
+            return self._solve_cg(eta, np.asarray(B, dtype=float))
+        d = 1.0 / (self.eigvals + eta)
+        return d * B if B.ndim == 1 else d[:, None] * B
 
     # -- public API ----------------------------------------------------
 
     def solve(self, eta: float, B: np.ndarray) -> np.ndarray:
-        """Return K_eta^{-1} B to solver tolerance."""
-        if not (np.isfinite(eta) and eta >= 0):
-            raise InputError(f"eta must be a finite nonnegative real, got {eta}")
+        """Return K_eta^{-1} B (to solver tolerance on the CG path)."""
         B = np.asarray(B, dtype=float)
-        if self.method == "dense_cholesky":
-            factor = self._factorize(eta)
-            return sla.cho_solve(factor, B, check_finite=False)
-        return self._solve_cg(eta, B)
+        if self._U is None:
+            return self.solve_in_basis(eta, B)
+        return self._U @ self.solve_in_basis(eta, self._U.T @ B)
 
     def _solve_cg(self, eta: float, B: np.ndarray) -> np.ndarray:
         n = self.K.n
         K = self.K.entries
-        shift = eta + self.jitter
         op = spla.LinearOperator(
-            (n, n), matvec=lambda v: K @ v + shift * v, dtype=float)
+            (n, n), matvec=lambda v: K @ v + eta * v, dtype=float)
         single = B.ndim == 1
         cols = B[:, None] if single else B
         out = np.empty_like(cols)
@@ -153,14 +170,15 @@ class Solver:
         return out[:, 0] if single else out
 
     def logdet(self, eta: float) -> float:
-        """log det(K + eta I); Cholesky on the dense path, sparse LU otherwise."""
-        if self.method == "dense_cholesky":
-            self._factorize(eta)
-            return self._logdets[eta]
+        """log det(K_eta); from the spectrum on the dense path, sparse LU
+        otherwise."""
+        _check_eta(eta)
+        if self.eigvals is not None:
+            return float(np.sum(np.log(self.eigvals + eta)))
         if eta in self._logdets:
             return self._logdets[eta]
-        A = (self.K.entries + (eta + self.jitter)
-             * sparse.identity(self.K.n, format="csr")).tocsc()
+        A = (self.K.entries
+             + eta * sparse.identity(self.K.n, format="csr")).tocsc()
         lu = spla.splu(A)
         diag_u = lu.U.diagonal()
         if np.any(diag_u == 0):
@@ -168,6 +186,11 @@ class Solver:
         val = float(np.sum(np.log(np.abs(diag_u))))
         self._logdets[eta] = val
         return val
+
+
+def _check_eta(eta: float) -> None:
+    if not (np.isfinite(eta) and eta >= 0):
+        raise InputError(f"eta must be a finite nonnegative real, got {eta}")
 
 
 def _cg(op, b, rtol, maxiter):
@@ -179,9 +202,9 @@ def _cg(op, b, rtol, maxiter):
 
 
 def default_solver(K: CorrelationMatrix) -> Solver:
-    """DenseCholesky up to DENSE_SOLVER_MAX_N, CG for sparse/tapered K."""
-    if K.storage == "dense" and K.n <= DENSE_SOLVER_MAX_N:
-        return Solver(K, "dense_cholesky")
+    """The eigenbasis backend for dense storage, CG for sparse/tapered K."""
+    if K.storage == "dense":
+        return Solver(K, "dense")
     return Solver(K, "cg")
 
 

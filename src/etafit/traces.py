@@ -20,6 +20,7 @@ import scipy.sparse as sparse
 
 from .errors import InputError, NumericError, SolverError
 from .kernels import CorrelationMatrix
+from .model import spectral_jitter
 
 MAX_INTERPOLANT_NODES = 8
 DEFAULT_NODES = (1.0, 10.0, 40.0, 100.0, 1000.0)
@@ -47,17 +48,10 @@ def eigenvalues(K) -> np.ndarray:
 
 
 def _trace_eigvals(K) -> np.ndarray:
-    """Eigenvalues sanitized for 1/(lambda+eta) sums.
-
-    Rounding can push the smallest eigenvalues of a smooth kernel matrix
-    slightly negative; shift the whole spectrum up to the jitter floor,
-    mirroring the diagonal jitter applied by the solver.
-    """
+    """Eigenvalues of K + jitter I, with the solver's jitter policy
+    (``model.spectral_jitter``), for 1/(lambda+eta) sums."""
     ev = eigenvalues(K)
-    floor = 1e-10 * ev.size
-    if ev[0] < floor:
-        ev = ev + (floor - ev[0])
-    return ev
+    return ev + spectral_jitter(float(ev[0]), ev.size)
 
 
 def trace_inv_eigen(K, eta: float, eigvals: np.ndarray | None = None) -> float:
@@ -68,19 +62,16 @@ def trace_inv_eigen(K, eta: float, eigvals: np.ndarray | None = None) -> float:
 
 
 def trace_inv_cholesky(K, eta: float) -> float:
-    """Squared Frobenius norm of L^{-1} where K + eta I = L L'."""
+    """Squared Frobenius norm of L^{-1} where K + eta I = L L'.
+
+    Applies no jitter: an indefinite K + eta I raises SolverError.
+    """
     n = _n_of(K)
     A = _as_dense(K) + eta * np.eye(n)
     try:
         L = sla.cholesky(A, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        # same jitter policy as the solver: one retry with a scaled shift
-        try:
-            L = sla.cholesky(A + 1e-10 * n * np.eye(n), lower=True,
-                             check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"Cholesky failed for eta={eta}: {exc}") from None
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Cholesky failed for eta={eta}: {exc}") from None
     Linv = sla.solve_triangular(L, np.eye(L.shape[0]), lower=True,
                                 check_finite=False)
     return float(np.sum(Linv * Linv))
@@ -256,28 +247,19 @@ def eval_tau(interp: TraceInterpolant, eta: float) -> float:
 
 
 class ExactTraceProvider:
-    """Callable (eta, power) -> trace(K_eta^{-power}) for power in {1, 2}.
+    """Callable (eta, power) -> trace(K_eta^{-power}) = sum (lam + eta)^-power.
 
-    Uses the full spectrum when available (small dense K), otherwise the
-    Cholesky route for power 1 and an inverse-Frobenius route for power 2.
+    ``eigvals`` is a spectrum already known, such as a dense Solver's
+    ``eigvals``; without it the full spectrum of K is computed once and
+    shifted by the solver's jitter policy.
     """
 
     def __init__(self, K, eigvals: np.ndarray | None = None):
         self.K = K
-        n = _n_of(K)
-        is_sparse = isinstance(K, CorrelationMatrix) and K.storage == "sparse"
-        if eigvals is None and not is_sparse and n <= CHOLESKY_MAX_N:
-            eigvals = _trace_eigvals(K)
-        self.eigvals = eigvals
+        self.eigvals = _trace_eigvals(K) if eigvals is None else eigvals
 
     def __call__(self, eta: float, power: int = 1) -> float:
-        if self.eigvals is not None:
-            return float(np.sum((self.eigvals + eta) ** (-power)))
-        if power == 1:
-            return trace_inv_cholesky(self.K, eta)
-        A = _as_dense(self.K) + eta * np.eye(_n_of(self.K))
-        Ainv = sla.inv(A)
-        return float(np.sum(Ainv * Ainv))
+        return float(np.sum((self.eigvals + eta) ** (-power)))
 
 
 class HutchinsonTraceProvider:

@@ -26,7 +26,7 @@ def random_model(n=8, q=1, seed=0, alpha=0.4, noise=0.3):
 
 
 def dense_solver(model):
-    return Solver(model.K, "dense_cholesky")
+    return Solver(model.K, "dense")
 
 
 def dense_m1(model, eta):

@@ -123,7 +123,7 @@ def test_criterion_3_derivative_curve_structure(reference):
     dist1 = min(abs(math.log10(r) - t_exact) for r in roots1)
     dist2 = min(abs(math.log10(r) - t_exact) for r in roots2)
 
-    solver = Solver(model.K, "dense_cholesky")
+    solver = Solver(model.K, "dense")
     traces = ExactTraceProvider(model.K)
     spectrum = etafit.spectrum_bounds(model.K)
     inside = True
@@ -178,7 +178,7 @@ def test_criterion_5_root_finder_convergence(reference):
 
     interp = fit_tau_interpolant(model.K, config.trace_nodes)
     traces = InterpolantTraceProvider(interp)
-    solver = Solver(model.K, "dense_cholesky")
+    solver = Solver(model.K, "dense")
 
     def g(t):
         return likelihood.d_ell_deta(model, 10.0 ** t, solver, traces)
@@ -244,7 +244,7 @@ def test_criterion_7_gradient_oracle_suite():
     worst_second = 0.0
     for seed in range(10):
         model = random_model(n=24, q=1, seed=100 + seed, alpha=0.3)
-        solver = Solver(model.K, "dense_cholesky")
+        solver = Solver(model.K, "dense")
         traces = ExactTraceProvider(model.K)
         for eta in np.logspace(-2, 2, 20):
             h = 1e-5 * eta
@@ -276,7 +276,7 @@ def test_criterion_8_dense_oracle_equivalence():
     checks = []
     for seed in (200, 201, 202):
         model = random_model(n=8, q=1, seed=seed, alpha=0.4)
-        solver = Solver(model.K, "dense_cholesky")
+        solver = Solver(model.K, "dense")
         traces = ExactTraceProvider(model.K)
         n, m, z = model.n, model.m, model.z
         for eta in (0.3, 2.0):
@@ -380,7 +380,7 @@ def test_criterion_9_trace_interpolation(interpolation_problem):
 
 def test_criterion_10_limit_identities():
     model = random_model(n=12, q=1, seed=300, alpha=0.3)
-    solver = Solver(model.K, "dense_cholesky")
+    solver = Solver(model.K, "dense")
     n, m = model.n, model.m
     z, X = model.z, model.X.entries
 

@@ -281,16 +281,22 @@ class TestTraceInterpCommand:
         assert "rel_err" in capsys.readouterr().out
 
     def test_reuse_across_invocations(self, data_csv, tmp_path):
+        # tapered (sparse) K: the dense backend has exact traces and never
+        # reads an interpolant
+        kernel = ["--kernel", "exp:0.1:taper=0.05"]
         interp = tmp_path / "interp.json"
-        main(["trace-interp", "--data", str(data_csv), "--out", str(interp)])
+        main(["trace-interp", "--data", str(data_csv), *kernel,
+              "--out", str(interp)])
         reused = tmp_path / "reused.json"
         fresh = tmp_path / "fresh.json"
-        assert main(["estimate", "--data", str(data_csv), "--trace-interp",
-                     str(interp), "--out", str(reused)]) == 0
-        assert main(["estimate", "--data", str(data_csv),
+        assert main(["estimate", "--data", str(data_csv), *kernel,
+                     "--trace-interp", str(interp), "--out",
+                     str(reused)]) == 0
+        assert main(["estimate", "--data", str(data_csv), *kernel,
                      "--out", str(fresh)]) == 0
         a = json.loads(reused.read_text())
         b = json.loads(fresh.read_text())
+        assert a["diagnostics"]["trace"]["interpolated"]
         assert a["hyperparams"] == b["hyperparams"]
 
     def test_mismatched_interpolant_rejected(self, data_csv, tmp_path):

@@ -12,19 +12,25 @@ from etafit.datagen import generate_synthetic
 from etafit.design import BasisSpec, build_design
 from etafit.errors import BracketError, ConvergenceError, InputError
 from etafit.estimation import (EstimateConfig, Prior, PriorSpec,
-                               chandrupatla_root, direct_optimize,
+                               chandrupatla_root, classify_outcome,
+                               direct_optimize,
                                direct_variances, estimate_variances,
                                inverse_square_priors, nelder_mead,
                                uniform_priors)
-from etafit.kernels import CorrelationKernel, correlation_matrix
-from etafit.model import GpModel
+from etafit.kernels import (CorrelationKernel, CorrelationMatrix,
+                            correlation_matrix)
+from etafit.model import GpModel, default_solver
+
+# a tapered grid that the default estimator fits on the sparse path
+SPARSE_SIDE, SPARSE_ALPHA, SPARSE_TAPER = 20, 0.05, 0.05
 
 
 def grid_model(n_side=10, sigma0=0.2, seed=3, q=2, alpha=0.1,
-               basis="polynomial"):
+               basis="polynomial", taper=0.0):
     ds = generate_synthetic(n_side * n_side, sigma0, seed=seed)
     X = build_design(ds.points, BasisSpec(basis, q))
-    K = correlation_matrix(ds.points, CorrelationKernel("exponential", alpha))
+    K = correlation_matrix(ds.points, CorrelationKernel(
+        "exponential", alpha, taper_threshold=taper))
     return GpModel(ds.z, X, K, ds.points)
 
 
@@ -205,21 +211,95 @@ class TestEstimateVariances:
         assert likelihood.d2_ell_deta2(model, eta_hat, solver) < 0.0
 
     def test_interpolated_root_zeroes_the_interpolated_derivative(self):
-        # the default run roots the derivative built on interpolated
-        # traces; refitting the same interpolant reproduces that zero
+        # on sparse K the default run roots the derivative built on
+        # interpolated traces; refitting the same interpolant reproduces
+        # that zero
         from etafit.traces import (InterpolantTraceProvider,
                                    fit_tau_interpolant)
-        model = grid_model(n_side=12, seed=3)
+        model = grid_model(n_side=SPARSE_SIDE, seed=3, alpha=SPARSE_ALPHA,
+                           taper=SPARSE_TAPER)
+        assert model.K.storage == "sparse"
         config = EstimateConfig()
         report = estimate_variances(model, config=config)
         assert report.outcome == "interior"
-        interp = fit_tau_interpolant(model.K, config.trace_nodes)
+        assert report.diagnostics["trace"]["interpolated"]
+        solver = default_solver(model.K)
+        interp = fit_tau_interpolant(model.K, config.trace_nodes,
+                                     config.trace_method, solver,
+                                     config.hutchinson_vectors, config.seed)
         traces = InterpolantTraceProvider(interp)
-        solver = dense_solver(model)
         f_tol = config.f_tol_scale * (model.n - model.m)
         d_at_root = likelihood.d_ell_deta(model, report.hyperparams.eta,
                                           solver, traces)
         assert abs(d_at_root) <= f_tol
+
+    def test_dense_default_is_the_exact_root(self):
+        # the dense backend's traces are exact, so the default run and the
+        # exact-trace validation run find the same root
+        model = grid_model(n_side=12, seed=3)
+        default = estimate_variances(model)
+        exact = estimate_variances(model,
+                                   config=EstimateConfig(exact_traces=True))
+        assert default.outcome == exact.outcome == "interior"
+        assert abs(math.log10(default.hyperparams.eta)
+                   - math.log10(exact.hyperparams.eta)) <= 1e-8
+        assert not default.diagnostics["trace"]["interpolated"]
+
+    def test_dense_run_makes_one_eigendecomposition_and_no_n_by_n_cholesky(
+            self, monkeypatch):
+        import scipy.linalg
+        model = grid_model(n_side=12, seed=3)
+        n = model.n
+        calls = []
+
+        def counting(name, real):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return real(a, *args, **kwargs)
+            return wrapper
+
+        for module, names in ((scipy.linalg, ("eigh", "eigvalsh", "cholesky",
+                                              "cho_factor")),
+                              (np.linalg, ("eigh", "eigvalsh", "cholesky"))):
+            for name in names:
+                monkeypatch.setattr(module, name, counting(
+                    f"{module.__name__}.{name}", getattr(module, name)))
+        report = estimate_variances(model)
+        assert report.outcome == "interior"
+        big = [c for c in calls if c[1] == (n, n)]
+        assert big == [("scipy.linalg.eigh", (n, n))]
+        # every Cholesky left is of an m x m matrix
+        assert all(shape == (model.m, model.m) for name, shape in calls
+                   if "cho" in name)
+
+    def test_thresholds_do_not_change_ell_max(self):
+        # a root outside [c, C] is reported as the boundary estimate, but
+        # ell_max stays the root's likelihood, so it is continuous in K
+        model = grid_model(n_side=12, seed=3)
+        default = estimate_variances(model)
+        assert default.outcome == "interior"
+        for config, outcome in ((EstimateConfig(c_threshold=1e3),
+                                 "error_dominated"),
+                                (EstimateConfig(C_threshold=1.0),
+                                 "noise_dominated")):
+            report = estimate_variances(model, config=config)
+            assert report.outcome == outcome
+            assert report.ell_max == default.ell_max
+
+    def test_indefinite_kernel_is_shifted_and_reported(self):
+        rng = np.random.default_rng(21)
+        model = grid_model(n_side=8, seed=21)
+        n = model.n
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.linspace(-0.01, 3.0, n)
+        K = CorrelationMatrix((Q * lam) @ Q.T, "dense", n)
+        report = estimate_variances(GpModel(model.z, model.X, K,
+                                            model.points))
+        jitter = report.diagnostics["jitter"]
+        assert jitter == pytest.approx(0.01 + 1e-10 * n, rel=1e-6)
+        assert report.diagnostics["spectrum"]["lambda_min"] == pytest.approx(
+            1e-10 * n, abs=1e-12)
+        assert any("lambda_min = -1.000e-02" in w for w in report.warnings)
 
     def test_deterministic_given_model_and_config(self):
         model = grid_model(n_side=9, seed=5)
@@ -313,6 +393,37 @@ class TestEstimateVariances:
             assert key in payload["diagnostics"]
 
 
+class TestOutcomeClassification:
+    def test_thresholds_bound_the_interior(self):
+        config = EstimateConfig(c_threshold=0.1, C_threshold=10.0)
+        assert classify_outcome(0.0, config) == "error_dominated"
+        assert classify_outcome(0.05, config) == "error_dominated"
+        assert classify_outcome(0.1, config) == "interior"
+        assert classify_outcome(10.0, config) == "interior"
+        assert classify_outcome(20.0, config) == "noise_dominated"
+        assert classify_outcome(math.inf, config) == "noise_dominated"
+
+    def test_direct_baselines_read_the_configured_thresholds(self):
+        model = grid_model(n_side=9, seed=11)
+        report = direct_variances(model, max_evals=200)
+        eta = report.hyperparams.eta
+        assert report.outcome == "interior"
+        low_C = EstimateConfig(C_threshold=eta / 2.0)
+        assert direct_variances(model, max_evals=200,
+                                config=low_C).outcome == "noise_dominated"
+
+        ds = generate_synthetic(64, 0.2, seed=15)
+        build = TestKernelOptimization.builder_for(ds)
+        args = (build, (0.15, 1.0, 0.1, 0.15), uniform_priors())
+        kwargs = {"tol": 1e-3, "max_evals": 200}
+        default = direct_optimize(*args, **kwargs)
+        assert default.outcome == "interior"
+        low_C = EstimateConfig(C_threshold=default.hyperparams.eta / 2.0)
+        changed = direct_optimize(*args, config=low_C, **kwargs)
+        assert changed.hyperparams == default.hyperparams
+        assert changed.outcome == "noise_dominated"
+
+
 class TestDirectVariances:
     def test_agrees_with_profiled_method(self):
         model = grid_model(n_side=10, seed=10)
@@ -364,6 +475,21 @@ class TestKernelOptimization:
         # the budget may be overshot by the evaluations of one in-flight
         # simplex iteration
         assert report.diagnostics["n_posterior_evals"] <= 60 + 4
+
+    def test_error_dominated_estimate_on_singular_kernel_rejected(self):
+        # on this instance the profiled posterior keeps rising towards
+        # smooth kernels that are singular at working precision, where
+        # the root falls below c and sigma0 = 0 would leave sigma2 K
+        # singular; those kernels are rejected simplex moves
+        from etafit.estimation import profile_optimize
+        ds = generate_synthetic(100, 0.2, seed=12)
+        build = self.builder_for(ds)
+        report = profile_optimize(build, (0.1, 1.0), uniform_priors(),
+                                  tol=1e-2, max_evals=60)
+        assert report.diagnostics["n_singular_rejections"] > 0
+        final = estimate_variances(build(report.alpha_hat, report.nu_hat))
+        assert not (final.outcome == "error_dominated"
+                    and final.diagnostics["jitter"] > 0.0)
 
     def test_flat_priors_equal_no_priors(self):
         from etafit.estimation import profile_optimize

@@ -11,6 +11,7 @@ from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
 from etafit.model import (GpModel, HyperParams, Solver, beta_gls,
                           default_solver, m1_apply, solve_K_eta, trace_m1)
+from etafit.traces import ExactTraceProvider
 
 
 def identity_corr(n):
@@ -61,7 +62,7 @@ class TestSolver:
         assert K.storage == "sparse"
         cg = Solver(K, "cg", tol=1e-12)
         dense = Solver(CorrelationMatrix(K.toarray(), "dense", K.n),
-                       "dense_cholesky")
+                       "dense")
         b = rng.standard_normal(60)
         np.testing.assert_allclose(cg.solve(0.5, b), dense.solve(0.5, b),
                                    atol=1e-8)
@@ -86,7 +87,7 @@ class TestSolver:
     def test_default_solver_selection(self):
         dense = correlation_matrix(np.random.default_rng(0).uniform(size=(8, 2)),
                                    CorrelationKernel("exponential", 0.1))
-        assert default_solver(dense).method == "dense_cholesky"
+        assert default_solver(dense).method == "dense"
         entries = sparse.identity(10, format="csr")
         sparse_K = CorrelationMatrix(entries, "sparse", 10)
         assert default_solver(sparse_K).method == "cg"
@@ -97,10 +98,35 @@ class TestSolver:
         A = np.eye(n)
         A[0, 1] = A[1, 0] = 1.0 + 1e-13  # barely indefinite
         K = CorrelationMatrix(A, "dense", n)
-        solver = Solver(K, "dense_cholesky")
+        solver = Solver(K, "dense")
         x = solver.solve(0.0, np.ones(n))
         assert solver.jitter > 0
         assert np.all(np.isfinite(x))
+
+
+    def test_one_shift_for_solves_logdet_and_traces(self):
+        # K with lambda_min = -0.01: solves, log-determinant and traces
+        # must all describe the same matrix K + (eta + jitter) I
+        n, eta = 30, 0.5
+        rng = np.random.default_rng(17)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.linspace(-0.01, 2.0, n)
+        K = CorrelationMatrix((Q * lam) @ Q.T, "dense", n)
+        solver = Solver(K, "dense")
+        assert solver.jitter == pytest.approx(0.01 + 1e-10 * n, rel=1e-8)
+        A = K.entries + (eta + solver.jitter) * np.eye(n)
+        A_inv = np.linalg.inv(A)
+        b = rng.standard_normal(n)
+        np.testing.assert_allclose(solver.solve(eta, b),
+                                   np.linalg.solve(A, b), rtol=1e-9)
+        assert solver.logdet(eta) == pytest.approx(
+            np.linalg.slogdet(A)[1], rel=1e-10)
+        for traces in (ExactTraceProvider(K),
+                       ExactTraceProvider(K, solver.eigvals)):
+            assert traces(eta, 1) == pytest.approx(np.trace(A_inv),
+                                                   rel=1e-10)
+            assert traces(eta, 2) == pytest.approx(
+                np.sum(A_inv * A_inv), rel=1e-10)
 
 
 class TestM1Apply:

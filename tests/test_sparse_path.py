@@ -50,7 +50,7 @@ class TestSparseEstimation:
         cg = Solver(sparse_problem.K, "cg")
         dense = Solver(CorrelationMatrix(sparse_problem.K.toarray(), "dense",
                                          sparse_problem.K.n),
-                       "dense_cholesky")
+                       "dense")
         for eta in (0.5, 5.0):
             assert cg.logdet(eta) == pytest.approx(dense.logdet(eta),
                                                    rel=1e-9)
@@ -59,7 +59,7 @@ class TestSparseEstimation:
         cg = Solver(sparse_problem.K, "cg")
         dense = Solver(CorrelationMatrix(sparse_problem.K.toarray(), "dense",
                                          sparse_problem.K.n),
-                       "dense_cholesky")
+                       "dense")
         ev_cg = profile_ell(sparse_problem, 2.0, cg)
         ev_dense = profile_ell(sparse_problem, 2.0, dense)
         assert ev_cg.ell == pytest.approx(ev_dense.ell, rel=1e-8)
@@ -83,7 +83,7 @@ class TestSolverErrors:
         K = correlation_matrix(pts, CorrelationKernel("exponential", 0.2))
         model = GpModel(rng.standard_normal(10), X, K, pts)
         with pytest.raises(ModelError):
-            m1_apply(model, 0.5, Solver(K, "dense_cholesky"))
+            m1_apply(model, 0.5, Solver(K, "dense"))
 
 
 class TestTaperedSpectrum:

@@ -61,20 +61,20 @@ class TestExactTraces:
 class TestHutchinson:
     def test_identity_has_zero_variance(self):
         K = CorrelationMatrix(np.eye(25), "dense", 25)
-        solver = Solver(K, "dense_cholesky")
+        solver = Solver(K, "dense")
         est, stderr = trace_inv_hutchinson(K, 1.5, solver, 8, seed=0)
         assert est == pytest.approx(25.0 / 2.5, rel=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_single_vector_rejected(self):
         K = CorrelationMatrix(np.eye(5), "dense", 5)
-        solver = Solver(K, "dense_cholesky")
+        solver = Solver(K, "dense")
         with pytest.raises(InputError):
             trace_inv_hutchinson(K, 1.0, solver, 1)
 
     def test_deterministic_given_seed(self):
         K = random_corr(60, seed=4)
-        solver = Solver(K, "dense_cholesky")
+        solver = Solver(K, "dense")
         a = trace_inv_hutchinson(K, 0.5, solver, 10, seed=42)
         b = trace_inv_hutchinson(K, 0.5, solver, 10, seed=42)
         assert a == b
@@ -85,7 +85,7 @@ class TestHutchinson:
         # statistical oracle: the exact trace should fall within three
         # standard errors in at least 95% of seeded trials
         K = random_corr(300, seed=5)
-        solver = Solver(K, "dense_cholesky")
+        solver = Solver(K, "dense")
         eta = 1.0
         exact = trace_inv_cholesky(K, eta)
         hits = 0
@@ -165,7 +165,7 @@ class TestTauInterpolant:
 
     def test_hutchinson_backed_fit(self):
         K = random_corr(70, seed=14)
-        solver = Solver(K, "dense_cholesky")
+        solver = Solver(K, "dense")
         interp = fit_tau_interpolant(K, (1.0, 10.0), "hutchinson", solver,
                                      n_vectors=30, seed=1)
         for eta in (0.5, 5.0, 50.0):
