@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InputError, ModelError, NumericError
 from .kernels import CorrelationMatrix
-from .model import GpModel
+from .model import GpModel, sparse_lu
 
 SPARSE_EIG_TOL = 1e-8
 INTERVAL_FLOOR = 1e-6
@@ -59,7 +59,8 @@ def spectrum_bounds(K, eigvals: np.ndarray | None = None) -> SpectrumSummary:
 
     Read off ``eigvals`` (ascending, such as a dense Solver's spectrum)
     when the spectrum is already known; otherwise two subset eigensolves
-    for dense K, or ``eigsh`` for sparse K.
+    for dense K, or ``eigsh`` for sparse K (shift-invert around 0 through
+    ``model.sparse_lu`` for lambda_min).
     """
     if eigvals is not None:
         return SpectrumSummary(float(eigvals[0]), float(eigvals[-1]))
@@ -69,12 +70,14 @@ def spectrum_bounds(K, eigvals: np.ndarray | None = None) -> SpectrumSummary:
         # a seeded start vector (ARPACK's own is drawn afresh per call) makes
         # the bounds, and so every sparse estimate, reproducible
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])
+        lu = sparse_lu(A)
+        inverse = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
         try:
             lam_max = float(spla.eigsh(A, k=1, which="LA", tol=SPARSE_EIG_TOL,
                                        v0=v0, return_eigenvectors=False)[0])
             lam_min = float(spla.eigsh(A, k=1, sigma=0.0, which="LM",
-                                       tol=SPARSE_EIG_TOL, v0=v0,
-                                       return_eigenvectors=False)[0])
+                                       OPinv=inverse, tol=SPARSE_EIG_TOL,
+                                       v0=v0, return_eigenvectors=False)[0])
         except Exception as exc:
             raise NumericError(f"sparse eigensolve failed: {exc}") from None
         return SpectrumSummary(lam_min, lam_max)

@@ -3,8 +3,10 @@
 The central object is M_{1,eta} = Kinv - Kinv X (X' Kinv X)^{-1} X' Kinv
 with Kinv = (K + eta I)^{-1}, applied through linear solves rather than
 materialized.  Dense K is diagonalized once, so each solve is a diagonal
-scaling; sparse K is solved by conjugate gradients.  The m x m inner
-system is always solved densely.
+scaling.  Sparse K is solved by one block conjugate-gradient run per call,
+over all right-hand sides at once, and its log-determinants come from a
+symmetric-mode SuperLU factorization with a minimum-degree ordering.  The
+m x m inner system is always solved densely.
 """
 
 from __future__ import annotations
@@ -86,9 +88,11 @@ class Solver:
     already carries ``jitter`` (see ``spectral_jitter``), so every one of
     these describes K + jitter I.
 
-    ``method`` "cg" runs conjugate gradients on the stored (sparse) matrix,
-    with sparse-LU log-determinants; it has no spectrum (``eigvals`` is
-    None) and applies no jitter.
+    ``method`` "cg" runs conjugate gradients on the stored (sparse)
+    matrix, one block run over all columns of each right-hand side, and
+    takes log-determinants from the pivots of ``sparse_lu`` (symmetric-mode
+    SuperLU, minimum-degree ordering of K + K').  It has no spectrum
+    (``eigvals`` is None) and applies no jitter.
 
     Work in the *basis* of the solver (``model_in_basis``,
     ``solve_in_basis``) is how the likelihood avoids n x n work per eta:
@@ -150,40 +154,65 @@ class Solver:
         return self._U @ self.solve_in_basis(eta, self._U.T @ B)
 
     def _solve_cg(self, eta: float, B: np.ndarray) -> np.ndarray:
-        n = self.K.n
+        """One conjugate-gradient run over all columns of B: each iteration
+        makes one sparse product K @ P, with per-column step sizes.  A
+        column is frozen once its residual falls below tol * ||b|| (the
+        stopping rule of ``scipy.sparse.linalg.cg``); a zero column
+        returns 0 without iterating."""
         K = self.K.entries
-        op = spla.LinearOperator(
-            (n, n), matvec=lambda v: K @ v + eta * v, dtype=float)
         single = B.ndim == 1
-        cols = B[:, None] if single else B
-        out = np.empty_like(cols)
-        for j in range(cols.shape[1]):
-            b = cols[:, j]
-            x, info = _cg(op, b, rtol=self.tol, maxiter=self.max_iter)
-            if info != 0:
-                resid = float(np.linalg.norm(op.matvec(x) - b))
+        B2 = B[:, None] if single else B
+        out = np.zeros_like(B2)
+        bnorm = np.linalg.norm(B2, axis=0)
+        target = self.tol * bnorm
+        live = np.flatnonzero(bnorm > 0)
+        X = out[:, live]
+        R = B2[:, live]
+        P = R.copy()
+        rho = _coldot(R, R)
+        for it in range(self.max_iter + 1):
+            done = np.sqrt(rho) < target[live]
+            if done.any():
+                out[:, live[done]] = X[:, done]
+                keep = ~done
+                live, X, R, P, rho = (live[keep], X[:, keep], R[:, keep],
+                                      P[:, keep], rho[keep])
+            if live.size == 0:
+                break
+            if it == self.max_iter or not np.all(np.isfinite(rho)):
+                A = K @ X + eta * X - B2[:, live]
+                resid = float(np.max(np.linalg.norm(A, axis=0)))
                 raise SolverError(
-                    f"CG did not converge for eta={eta} within "
-                    f"{self.max_iter} iterations (residual {resid:.3e}, "
-                    f"target {self.tol * np.linalg.norm(b):.3e})")
-            out[:, j] = x
+                    f"CG did not converge for eta={eta}: stopped after {it} "
+                    f"of {self.max_iter} iterations (residual {resid:.3e}, "
+                    f"target {float(np.max(target[live])):.3e})")
+            Q = K @ P
+            Q += eta * P
+            alpha = rho / _coldot(P, Q)
+            X += alpha * P
+            R -= alpha * Q
+            rho_next = _coldot(R, R)
+            P *= rho_next / rho
+            P += R
+            rho = rho_next
         return out[:, 0] if single else out
 
     def logdet(self, eta: float) -> float:
-        """log det(K_eta); from the spectrum on the dense path, sparse LU
-        otherwise."""
+        """log det(K_eta); from the spectrum on the dense path, from the
+        pivots of a symmetric sparse LU (``sparse_lu``) otherwise.  The
+        symmetric factorization is only valid for positive-definite
+        K_eta: a non-positive pivot raises SolverError."""
         _check_eta(eta)
         if self.eigvals is not None:
             return float(np.sum(np.log(self.eigvals + eta)))
         if eta in self._logdets:
             return self._logdets[eta]
-        A = (self.K.entries
-             + eta * sparse.identity(self.K.n, format="csr")).tocsc()
-        lu = spla.splu(A)
-        diag_u = lu.U.diagonal()
-        if np.any(diag_u == 0):
-            raise SolverError(f"singular K + {eta} I in sparse logdet")
-        val = float(np.sum(np.log(np.abs(diag_u))))
+        lu = sparse_lu(self.K.entries, eta)
+        pivots = lu.U.diagonal()
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0)):
+            raise SolverError(
+                f"K + {eta} I is not positive definite (sparse logdet)")
+        val = float(np.sum(np.log(pivots)))
         self._logdets[eta] = val
         return val
 
@@ -193,12 +222,27 @@ def _check_eta(eta: float) -> None:
         raise InputError(f"eta must be a finite nonnegative real, got {eta}")
 
 
-def _cg(op, b, rtol, maxiter):
-    """scipy.sparse.linalg.cg across the tol/rtol API rename."""
+def _coldot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Column-wise inner products of two n x k arrays."""
+    return np.einsum("ij,ij->j", A, B)
+
+
+def sparse_lu(A, eta: float = 0.0):
+    """SuperLU factors of the symmetric sparse matrix A + eta I.
+
+    Symmetric mode: a minimum-degree ordering of A + A' applied to rows
+    and columns alike, with diagonal pivots.  On 2-D grid matrices this has
+    far less fill than the default COLAMD column ordering with partial
+    pivoting, and for a positive-definite matrix the diagonal of U holds
+    the pivots of its LDL' factorization.
+    """
+    M = (A + eta * sparse.identity(A.shape[0], format="csr")).tocsc()
     try:
-        return spla.cg(op, b, rtol=rtol, maxiter=maxiter)
-    except TypeError:  # scipy < 1.12
-        return spla.cg(op, b, tol=rtol, maxiter=maxiter)
+        return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(
+            f"sparse factorization of K + {eta} I failed: {exc}") from None
 
 
 def default_solver(K: CorrelationMatrix) -> Solver:

@@ -83,23 +83,27 @@ def _n_of(K) -> int:
     return K.shape[0]
 
 
+def _rademacher_probes(n: int, n_vectors: int, seed: int) -> np.ndarray:
+    """n x n_vectors Rademacher probes, one column per generator spawned
+    off the master seed, so column i does not depend on how many are
+    drawn or in which order they are used."""
+    seqs = np.random.SeedSequence(seed).spawn(n_vectors)
+    return np.column_stack([
+        np.random.default_rng(seq).integers(0, 2, size=n) * 2.0 - 1.0
+        for seq in seqs])
+
+
 def trace_inv_hutchinson(K, eta: float, solver, n_vectors: int,
                          seed: int = 0) -> tuple[float, float]:
     """Rademacher-probe estimate of trace(K_eta^{-1}) with its standard error.
 
-    Deterministic for a given seed: probe vectors come from per-vector
-    generators spawned off the master seed, so any evaluation schedule
-    yields the same estimate.
+    Deterministic for a given seed (see ``_rademacher_probes``); all probes
+    are solved by one ``solver.solve`` call.
     """
     if n_vectors < 2:
         raise InputError("Hutchinson needs at least 2 probe vectors")
-    n = _n_of(K)
-    seqs = np.random.SeedSequence(seed).spawn(n_vectors)
-    samples = np.empty(n_vectors)
-    for i, seq in enumerate(seqs):
-        rng = np.random.default_rng(seq)
-        v = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        samples[i] = float(v @ solver.solve(eta, v))
+    V = _rademacher_probes(_n_of(K), n_vectors, seed)
+    samples = np.einsum("ij,ij->j", V, solver.solve(eta, V))
     estimate = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(n_vectors))
     return estimate, stderr
@@ -276,15 +280,9 @@ class HutchinsonTraceProvider:
         if power == 1:
             return trace_inv_hutchinson(self.K, eta, self.solver,
                                         self.n_vectors, self.seed)[0]
-        n = _n_of(self.K)
-        seqs = np.random.SeedSequence(self.seed).spawn(self.n_vectors)
-        samples = np.empty(self.n_vectors)
-        for i, seq in enumerate(seqs):
-            rng = np.random.default_rng(seq)
-            v = rng.integers(0, 2, size=n) * 2.0 - 1.0
-            x = self.solver.solve(eta, v)
-            samples[i] = float(x @ x)
-        return float(np.mean(samples))
+        V = _rademacher_probes(_n_of(self.K), self.n_vectors, self.seed)
+        W = self.solver.solve(eta, V)
+        return float(np.mean(np.einsum("ij,ij->j", W, W)))
 
 
 class InterpolantTraceProvider:

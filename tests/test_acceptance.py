@@ -430,18 +430,28 @@ def test_criterion_10_limit_identities():
 
 def test_dense_scaling_slope():
     # substitute for the large-scale timing figures: dense-path total time
-    # grows with a log-log slope in [2, 3] over n in {256, 1024, 4096}
-    times = []
-    sizes = (256, 1024, 4096)
-    for n in sizes:
+    # grows with a log-log slope in [2, 3] over n in {256, 1024, 4096}.
+    # The first fit of a process pays one-off costs (BLAS thread start-up,
+    # lazy imports) of up to 0.8 s, as much as an n=1024 fit: an untimed
+    # warm-up fit absorbs them, and each size is the median of 3 fits.
+    def reference_model(n):
         dataset = generate_synthetic(n, 0.2, seed=REFERENCE_SEED)
         K = correlation_matrix(dataset.points,
                                CorrelationKernel("exponential", 0.1))
         X = build_design(dataset.points, BasisSpec("polynomial", 2))
-        model = GpModel(dataset.z, X, K, dataset.points)
-        started = time.perf_counter()
-        estimate_variances(model)
-        times.append(time.perf_counter() - started)
+        return GpModel(dataset.z, X, K, dataset.points)
+
+    estimate_variances(reference_model(256))
+    times = []
+    sizes = (256, 1024, 4096)
+    for n in sizes:
+        model = reference_model(n)
+        fits = []
+        for _ in range(3):
+            started = time.perf_counter()
+            estimate_variances(model)
+            fits.append(time.perf_counter() - started)
+        times.append(float(np.median(fits)))
     slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
     checks = [
         (2.0 <= slope <= 3.0,

@@ -1,10 +1,13 @@
-"""End-to-end coverage of the sparse/tapered route: CG solves,
+"""End-to-end coverage of the sparse/tapered route: block CG solves,
 Hutchinson-backed trace interpolation, sparse log-determinants, and the
 iterative spectrum bounds."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
+from etafit.analysis import spectrum_bounds
 from etafit.datagen import generate_synthetic
 from etafit.design import BasisSpec, build_design
 from etafit.errors import ModelError, SolverError
@@ -67,11 +70,83 @@ class TestSparseEstimation:
                                                  rel=1e-8)
 
 
+class TestBlockCg:
+    @pytest.mark.parametrize("eta", [0.0, 1e-3, 2.0])
+    def test_matches_per_column_scipy_cg(self, sparse_problem, eta):
+        n = sparse_problem.n
+        rng = np.random.default_rng(7)
+        B = np.column_stack([sparse_problem.z, sparse_problem.X.entries,
+                             np.zeros(n), rng.standard_normal((n, 3))])
+        solver = Solver(sparse_problem.K, "cg")
+        got = solver.solve(eta, B)
+        A = (sparse_problem.K.entries
+             + eta * sparse.identity(n, format="csr"))
+        bnorm = np.linalg.norm(B, axis=0)
+        for j in range(B.shape[1]):
+            if bnorm[j] == 0.0:
+                assert np.all(got[:, j] == 0.0)
+                continue
+            ref, info = spla.cg(A, B[:, j], rtol=solver.tol,
+                                maxiter=solver.max_iter)
+            assert info == 0
+            assert np.linalg.norm(got[:, j] - ref) <= \
+                1e-10 * np.linalg.norm(ref)
+        resid = np.linalg.norm(A @ got - B, axis=0)
+        assert np.all(resid <= solver.tol * bnorm)
+
+    def test_zero_columns_need_no_iteration(self, sparse_problem):
+        solver = Solver(sparse_problem.K, "cg", max_iter=0)
+        B = np.zeros((sparse_problem.n, 3))
+        np.testing.assert_array_equal(solver.solve(0.5, B), B)
+
+    def test_vector_in_vector_out(self, sparse_problem):
+        solver = Solver(sparse_problem.K, "cg")
+        x = solver.solve(0.5, sparse_problem.z)
+        assert x.shape == (sparse_problem.n,)
+        np.testing.assert_array_equal(
+            x, solver.solve(0.5, sparse_problem.z[:, None])[:, 0])
+
+
+def duplicate_point_K():
+    """Tapered K on 200 points with points 0 and 1 coincident: K has two
+    equal rows and is exactly singular."""
+    pts = np.random.default_rng(0).uniform(size=(200, 2))
+    pts[1] = pts[0]
+    return correlation_matrix(pts, CorrelationKernel("exponential", 0.05,
+                                                     taper_threshold=0.05))
+
+
 class TestSolverErrors:
     def test_cg_iteration_budget(self, sparse_problem):
         solver = Solver(sparse_problem.K, "cg", tol=1e-14, max_iter=2)
         with pytest.raises(SolverError, match="residual"):
             solver.solve(1e-4, sparse_problem.z)
+
+    def test_singular_logdet_raises_solver_error(self):
+        K = duplicate_point_K()
+        assert K.storage == "sparse"
+        with pytest.raises(SolverError, match="K \\+ 0.0 I"):
+            Solver(K, "cg").logdet(0.0)
+        A = K.toarray() + 0.5 * np.eye(K.n)
+        assert Solver(K, "cg").logdet(0.5) == pytest.approx(
+            np.linalg.slogdet(A)[1], rel=1e-12)
+
+    def test_singular_spectrum_raises_solver_error(self):
+        with pytest.raises(SolverError, match="K \\+ 0.0 I"):
+            spectrum_bounds(duplicate_point_K())
+
+    def test_indefinite_logdet_raises_solver_error(self):
+        # tridiagonal with off-diagonal 0.8: eigenvalues 1 + 1.6 cos(...)
+        # reach -0.59, so K is indefinite yet nonsingular
+        n = 10
+        entries = sparse.diags([0.8, 1.0, 0.8], [-1, 0, 1], shape=(n, n),
+                               format="csr")
+        K = CorrelationMatrix(entries, "sparse", n)
+        with pytest.raises(SolverError, match="not positive definite"):
+            Solver(K, "cg").logdet(0.0)
+        A = entries.toarray() + np.eye(n)
+        assert Solver(K, "cg").logdet(1.0) == pytest.approx(
+            np.linalg.slogdet(A)[1], rel=1e-12)
 
     def test_singular_inner_system_raises_model_error(self):
         from etafit.design import DesignMatrix
@@ -87,6 +162,17 @@ class TestSolverErrors:
 
 
 class TestTaperedSpectrum:
+    def test_lambda_min_matches_dense_eigensolve(self):
+        g = (np.arange(40) + 0.5) / 40
+        xx, yy = np.meshgrid(g, g)
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        K = correlation_matrix(pts, CorrelationKernel("exponential", 0.03,
+                                                      taper_threshold=0.05))
+        assert K.storage == "sparse"
+        lam_min = np.linalg.eigvalsh(K.toarray())[0]
+        assert spectrum_bounds(K).lambda_min == pytest.approx(lam_min,
+                                                              rel=1e-8)
+
     def test_tapered_eigenvalues_above_negative_jitter(self):
         # the taper can break exact positive-definiteness, but on this
         # configuration the spectrum stays above the jitter floor

@@ -7,9 +7,9 @@ from etafit.errors import InputError
 from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
 from etafit.model import Solver
-from etafit.traces import (TraceInterpolant, eval_tau, fit_tau_interpolant,
-                           trace_inv_cholesky, trace_inv_eigen,
-                           trace_inv_hutchinson)
+from etafit.traces import (HutchinsonTraceProvider, TraceInterpolant,
+                           eval_tau, fit_tau_interpolant, trace_inv_cholesky,
+                           trace_inv_eigen, trace_inv_hutchinson)
 
 
 def random_corr(n, seed=0, alpha=0.3):
@@ -80,6 +80,36 @@ class TestHutchinson:
         assert a == b
         c = trace_inv_hutchinson(K, 0.5, solver, 10, seed=43)
         assert a != c
+
+    @pytest.mark.parametrize("method", ["dense", "cg"])
+    def test_block_probes_match_per_vector_loop(self, method):
+        # reference: one generator and one solve per probe vector
+        def per_vector(K, eta, solver, n_vectors, seed, power):
+            seqs = np.random.SeedSequence(seed).spawn(n_vectors)
+            samples = []
+            for seq in seqs:
+                rng = np.random.default_rng(seq)
+                v = rng.integers(0, 2, size=K.n) * 2.0 - 1.0
+                x = solver.solve(eta, v)
+                samples.append(float(v @ x) if power == 1 else float(x @ x))
+            return float(np.mean(samples))
+
+        rng = np.random.default_rng(16)
+        K = correlation_matrix(rng.uniform(size=(300, 2)),
+                               CorrelationKernel("exponential", 0.1,
+                                                 taper_threshold=0.05))
+        assert K.storage == "sparse"
+        if method == "dense":
+            K = CorrelationMatrix(K.toarray(), "dense", K.n)
+        solver = Solver(K, method)
+        provider = HutchinsonTraceProvider(K, solver, 12, seed=5)
+        for eta in (0.05, 1.0):
+            ref1 = per_vector(K, eta, solver, 12, 5, 1)
+            assert trace_inv_hutchinson(K, eta, solver, 12, seed=5)[0] == \
+                pytest.approx(ref1, rel=1e-12)
+            assert provider(eta, 1) == pytest.approx(ref1, rel=1e-12)
+            assert provider(eta, 2) == pytest.approx(
+                per_vector(K, eta, solver, 12, 5, 2), rel=1e-12)
 
     def test_three_sigma_coverage(self):
         # statistical oracle: the exact trace should fall within three
