@@ -17,13 +17,12 @@ def main():
     parser.add_argument("--out", default="benchmark.csv")
     parser.add_argument("--sizes", default="256,1024,4096")
     parser.add_argument("--sparse-sizes", default="4096,16384")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--timeout", type=float, default=300.0)
     args = parser.parse_args()
 
     argv = ["benchmark", "--sizes", args.sizes,
             "--sparse-sizes", args.sparse_sizes,
-            "--jobs", str(args.jobs), "--timeout", str(args.timeout),
+            "--timeout", str(args.timeout),
             "--out", args.out]
     print("+ etafit " + " ".join(argv))
     sys.exit(etafit_main(argv))

@@ -23,11 +23,9 @@ from .kernels import (CorrelationKernel, CorrelationMatrix,
                       correlation_matrix, kernel_value)
 from .likelihood import (LikelihoodEval, d2_ell_deta2, d_ell_deta,
                          ell_derivative_generic, log_marginal_likelihood,
-                         profile_ell, sigma2_hat)
-from .model import (GpModel, HyperParams, Solver, beta_gls, default_solver,
-                    m1_apply, solve_K_eta, trace_m1)
+                         profile_ell, sigma2_hat, trace_provider)
+from .model import GpModel, HyperParams, Solver
 from .traces import (TraceInterpolant, eval_tau, fit_tau_interpolant,
-                     trace_inv_cholesky, trace_inv_eigen,
                      trace_inv_hutchinson)
 
 __version__ = "0.1.0"
@@ -38,16 +36,15 @@ __all__ = [
     "EstimateConfig", "EstimationReport", "GpModel", "HyperParams",
     "InputError", "LikelihoodEval", "ModelError", "NumericError", "Prior",
     "PriorSpec", "Solver", "SolverError", "SpectrumSummary",
-    "TraceInterpolant", "asymptote_coefficients", "asymptote_d_ell",
-    "asymptote_roots", "beta_gls", "build_design", "chandrupatla_root",
-    "correlation_matrix", "d2_ell_deta2", "d_ell_deta", "default_solver",
-    "derivative_bounds", "direct_optimize", "direct_variances",
-    "ell_derivative_generic", "ell_gap_bound", "estimate_variances",
-    "eval_tau", "fit_tau_interpolant", "generate_synthetic",
-    "inverse_square_priors", "kernel_value", "load_dataset",
-    "log_marginal_likelihood", "m1_apply", "n_basis", "nelder_mead",
+    "TraceInterpolant",
+    "asymptote_coefficients", "asymptote_d_ell", "asymptote_roots",
+    "build_design", "chandrupatla_root", "correlation_matrix",
+    "d2_ell_deta2", "d_ell_deta", "derivative_bounds", "direct_optimize",
+    "direct_variances", "ell_derivative_generic", "ell_gap_bound",
+    "estimate_variances", "eval_tau", "fit_tau_interpolant",
+    "generate_synthetic", "inverse_square_priors", "kernel_value",
+    "load_dataset", "log_marginal_likelihood", "n_basis", "nelder_mead",
     "profile_ell", "profile_optimize", "save_dataset", "search_interval",
-    "sigma2_hat", "solve_K_eta", "spectrum_bounds", "trace_inv_cholesky",
-    "trace_inv_eigen", "trace_inv_hutchinson", "trace_m1",
-    "uniform_priors",
+    "sigma2_hat", "spectrum_bounds", "trace_inv_hutchinson",
+    "trace_provider", "uniform_priors",
 ]

@@ -58,8 +58,8 @@ def spectrum_bounds(K, eigvals: np.ndarray | None = None) -> SpectrumSummary:
     """Extreme eigenvalues of K.
 
     Read off ``eigvals`` (ascending, such as a dense Solver's spectrum)
-    when the spectrum is already known; otherwise two subset eigensolves
-    for dense K, or ``eigsh`` for sparse K (shift-invert around 0 through
+    when the spectrum is already known; otherwise one ``eigvalsh`` for
+    dense K, or ``eigsh`` for sparse K (shift-invert around 0 through
     ``model.sparse_lu`` for lambda_min).
     """
     if eigvals is not None:
@@ -82,15 +82,11 @@ def spectrum_bounds(K, eigvals: np.ndarray | None = None) -> SpectrumSummary:
             raise NumericError(f"sparse eigensolve failed: {exc}") from None
         return SpectrumSummary(lam_min, lam_max)
     A = K.entries if is_corr else np.asarray(K, dtype=float)
-    n = A.shape[0]
     try:
-        lam_min = float(sla.eigh(A, eigvals_only=True, check_finite=False,
-                                 subset_by_index=[0, 0])[0])
-        lam_max = float(sla.eigh(A, eigvals_only=True, check_finite=False,
-                                 subset_by_index=[n - 1, n - 1])[0])
+        lam = sla.eigvalsh(A, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolve failed: {exc}") from None
-    return SpectrumSummary(lam_min, lam_max)
+    return SpectrumSummary(float(lam[0]), float(lam[-1]))
 
 
 def derivative_bounds(spec: SpectrumSummary, n: int, m: int,
@@ -120,6 +116,12 @@ def _frobenius_sq(K) -> float:
         return float(E.multiply(E).sum())
     A = K.entries if isinstance(K, CorrelationMatrix) else np.asarray(K)
     return float(np.sum(A * A))
+
+
+def large_n(model: GpModel) -> bool:
+    """Whether n > LARGE_N_FACTOR * m, where the asymptote uses the n >> m
+    trace surrogates."""
+    return model.n > LARGE_N_FACTOR * model.m
 
 
 def asymptote_coefficients(model: GpModel,

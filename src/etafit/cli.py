@@ -11,7 +11,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,8 @@ from .estimation import (EstimateConfig, direct_variances, estimate_variances,
                          inverse_square_priors, profile_optimize,
                          uniform_priors)
 from .kernels import CorrelationKernel, correlation_matrix
-from .model import GpModel, default_solver
-from .traces import ExactTraceProvider, fit_tau_interpolant
+from .model import GpModel, Solver
+from .traces import ExactTraceProvider, eval_tau, fit_tau_interpolant
 
 KERNEL_ALIASES = {"exp": "exponential", "exponential": "exponential",
                   "matern": "matern", "gauss": "gaussian",
@@ -123,8 +122,6 @@ def make_config(args) -> EstimateConfig:
         config.eta_tol = args.eta_tol
     if getattr(args, "thresholds", None) is not None:
         config.c_threshold, config.C_threshold = parse_pair(args.thresholds)
-    if getattr(args, "trace_method", None) is not None:
-        config.trace_method = args.trace_method
     if getattr(args, "nodes", None) is not None:
         config.trace_nodes = tuple(float(v) for v in args.nodes.split(","))
     if getattr(args, "exact_traces", False):
@@ -265,11 +262,9 @@ def cmd_benchmark(args) -> int:
     cells += [(n, "sparse") for n in sorted(sparse_sizes)]
     methods = ["profiled", "direct"]
 
-    results = []
     skip = set()
 
-    def run(cell):
-        n, storage, method = cell
+    def run(n, storage, method):
         if (storage, method) in skip:
             return {"n": n, "storage": storage, "method": method,
                     "wall_time": "", "precompute": "", "root_find": "",
@@ -288,12 +283,7 @@ def cmd_benchmark(args) -> int:
             row["outcome"] += ",timeout"
         return row
 
-    tasks = [(n, s, meth) for (n, s) in cells for meth in methods]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
+    results = [run(n, s, meth) for (n, s) in cells for meth in methods]
 
     header = ["n", "storage", "method", "wall_time", "precompute",
               "root_find", "n_evals", "n_ell_evals", "outcome"]
@@ -310,14 +300,13 @@ def cmd_plotdata(args) -> int:
     basis = parse_basis(args.basis)
     kernel = parse_kernel(args.kernel)
     model = build_model(dataset, basis, kernel)
-    solver = default_solver(model.K)
-    traces = ExactTraceProvider(model.K, solver.eigvals)
+    solver = Solver(model.K)
+    traces = likelihood.trace_provider(solver)
 
     lo, hi = parse_pair(args.eta_range)
     etas = np.logspace(math.log10(lo), math.log10(hi), args.grid_points)
     spectrum = analysis.spectrum_bounds(model.K, solver.eigvals)
-    large_n = model.n > analysis.LARGE_N_FACTOR * model.m
-    coeffs = analysis.asymptote_coefficients(model, large_n)
+    coeffs = analysis.asymptote_coefficients(model, analysis.large_n(model))
 
     d_vals = [likelihood.d_ell_deta(model, e, solver, traces) for e in etas]
     rows = ["eta,d_ell,bound_lo,bound_hi,asymptote_1,asymptote_2,is_root"]
@@ -338,16 +327,15 @@ def cmd_trace_interp(args) -> int:
     dataset = load_dataset(args.data)
     kernel = parse_kernel(args.kernel)
     K = correlation_matrix(dataset.points, kernel)
-    solver = default_solver(K)
+    solver = Solver(K)
     nodes = tuple(float(v) for v in args.nodes.split(","))
-    interp = fit_tau_interpolant(K, nodes, args.trace_method, solver,
-                                 seed=args.seed)
+    interp = fit_tau_interpolant(
+        K, nodes, likelihood.trace_provider(solver, args.seed))
     _write_text(args.out, interp.to_json() + "\n")
     print(f"fitted tau interpolant: n={interp.n} nodes={list(interp.nodes)} "
           f"method={interp.method} cond={interp.cond:.3g}")
     if args.check:
-        from .traces import eval_tau
-        exact_traces = ExactTraceProvider(K, solver.eigvals)
+        exact_traces = ExactTraceProvider(K)
         for e in np.logspace(-3, 3, 13):
             exact = exact_traces(e)
             approx = interp.n * eval_tau(interp, e)
@@ -366,10 +354,6 @@ def _add_estimation_flags(p):
                    help="root tolerance in log10(eta)")
     p.add_argument("--thresholds", default=None, metavar="c,C",
                    help="interior classification thresholds")
-    p.add_argument("--trace-method", default=None,
-                   choices=["auto", "eigen", "cholesky", "hutchinson"],
-                   help="how the trace interpolant is fitted (sparse K; "
-                        "dense runs use exact traces)")
     p.add_argument("--nodes", default=None,
                    help="trace interpolation nodes, comma separated")
     p.add_argument("--exact-traces", action="store_true",
@@ -426,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparse-sizes", default="",
                    help="tapered-sparse sizes, comma separated")
     p.add_argument("--sigma0", type=float, default=0.2)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timeout", type=float, default=0.0,
                    help="per-cell soft time budget in seconds")
     p.add_argument("--out", required=True)
@@ -446,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--kernel", default="exp:0.1")
     p.add_argument("--nodes", default="1,10,40,100,1000")
-    p.add_argument("--trace-method", default="auto",
-                   choices=["auto", "eigen", "cholesky", "hutchinson"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true",
                    help="print interpolation error against exact traces")

@@ -19,10 +19,8 @@ import numpy as np
 from . import analysis, likelihood
 from .errors import (BracketError, ConvergenceError, InputError,
                      NumericError)
-from .model import (JITTER_SCALE, GpModel, HyperParams, Solver,
-                    default_solver)
-from .traces import (DEFAULT_NODES, ExactTraceProvider,
-                     HutchinsonTraceProvider, InterpolantTraceProvider,
+from .model import JITTER_SCALE, GpModel, HyperParams, Solver
+from .traces import (DEFAULT_NODES, InterpolantTraceProvider,
                      fit_tau_interpolant)
 
 OUTCOME_INTERIOR = "interior"
@@ -32,6 +30,11 @@ OUTCOME_DEGENERATE = "degenerate"
 
 METHOD_PROFILED = "profiled_eta"
 METHOD_DIRECT = "direct_nelder_mead"
+
+# Derivative probes of the sign scan, evenly spaced in log10(eta).
+SCAN_PROBES = 24
+# Iteration budget of each bracketed root search (and of its polish).
+MAX_ROOT_ITER = 100
 
 
 # ----------------------------------------------------------------------
@@ -263,25 +266,23 @@ def inverse_square_priors() -> PriorSpec:
 
 @dataclass
 class EstimateConfig:
-    """Knobs for the profiled estimator; defaults reproduce the reference
-    workflow."""
+    """Settings of the profiled estimator; defaults reproduce the reference
+    workflow.
+
+    The trace fields apply to sparse K only, where the traces are
+    Hutchinson estimates and, unless ``exact_traces`` is set, an
+    interpolant fitted from them; the dense eigenbasis backend always uses
+    exact traces.
+    """
 
     c_threshold: float = 1e-4
     C_threshold: float = 1e4
     eta_tol: float = 1e-6           # bracket tolerance in log10(eta)
     f_tol_scale: float = 1e-8       # derivative tolerance = scale * (n - m)
-    max_root_iter: int = 100
-    scan_probes: int = 24
-    # The trace fields below apply to solvers without a spectrum (CG on
-    # sparse K); the dense eigenbasis backend always uses exact traces.
-    use_trace_interpolant: bool = True
-    exact_traces: bool = False      # force exact traces (validation runs)
+    exact_traces: bool = False      # skip the interpolant (validation runs)
     trace_nodes: tuple = DEFAULT_NODES
-    trace_method: str = "auto"
     trace_interpolant: object = None  # pre-fitted TraceInterpolant to reuse
-    hutchinson_vectors: int = 20
-    seed: int = 0
-    large_n_approx: object = "auto"  # True/False or "auto" (n > 50 m)
+    seed: int = 0                   # Hutchinson probe seed
 
 
 @dataclass
@@ -340,15 +341,6 @@ def classify_outcome(eta: float, config: EstimateConfig) -> str:
     return OUTCOME_INTERIOR
 
 
-def _exact_traces(model: GpModel, solver: Solver, config: EstimateConfig):
-    """Exact traces from the solver's spectrum; Hutchinson estimates for a
-    CG solver on sparse K, where no spectrum is formed."""
-    if solver.eigvals is None and model.K.storage == "sparse":
-        return HutchinsonTraceProvider(model.K, solver,
-                                       config.hutchinson_vectors, config.seed)
-    return ExactTraceProvider(model.K, solver.eigvals)
-
-
 def _degenerate_report(model: GpModel, started: float) -> EstimationReport:
     hp = HyperParams(0.0, 0.0, math.nan)
     return EstimationReport(
@@ -367,16 +359,16 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     derivative sign scan -> bracketed root finding -> candidate selection
     against the boundary estimates -> threshold classification.
 
-    With the dense eigenbasis solver (the default for dense K) the spectrum
-    and every trace are exact and come from its one eigendecomposition.
-    Solvers without a spectrum (CG) fit the trace interpolant instead,
-    unless ``config`` asks for exact traces.
+    With the dense eigenbasis solver (dense K) the spectrum and every
+    trace are exact and come from its one eigendecomposition.  The CG
+    solver (sparse K) fits the trace interpolant from Hutchinson estimates
+    instead, unless ``config`` asks for exact traces.
     """
     started = time.perf_counter()
     config = config or EstimateConfig()
     if model.degenerate:
         return _degenerate_report(model, started)
-    solver = solver or default_solver(model.K)
+    solver = solver or Solver(model.K)
     n, m = model.n, model.m
     f_tol = config.f_tol_scale * (n - m)
     counters = {"ell": 0, "deriv": 0}
@@ -389,11 +381,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
             f"K is indefinite (lambda_min = "
             f"{spectrum.lambda_min - solver.jitter:.3e}); solves, "
             f"log-determinants and traces use K + {solver.jitter:.3e} I")
-    if config.large_n_approx == "auto":
-        large_n = n > analysis.LARGE_N_FACTOR * m
-    else:
-        large_n = bool(config.large_n_approx)
-    coeffs = analysis.asymptote_coefficients(model, large_n)
+    coeffs = analysis.asymptote_coefficients(model, analysis.large_n(model))
     roots1 = analysis.asymptote_roots(coeffs, 1)
     roots2 = analysis.asymptote_roots(coeffs, 2)
     interval = analysis.search_interval(spectrum, roots1 + roots2)
@@ -403,19 +391,14 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
         raise InputError(
             f"trace interpolant was fitted for n={config.trace_interpolant.n}"
             f" but the model has n={n}")
-    exact_traces = _exact_traces(model, solver, config)
+    backend_traces = likelihood.trace_provider(solver, config.seed)
     interp = None
-    if (solver.eigvals is not None or config.exact_traces
-            or not config.use_trace_interpolant):
-        traces = exact_traces
+    if solver.eigvals is not None or config.exact_traces:
+        traces = backend_traces
     else:
-        if config.trace_interpolant is not None:
-            interp = config.trace_interpolant
-        else:
-            interp = fit_tau_interpolant(
-                model.K, config.trace_nodes, config.trace_method, solver,
-                config.hutchinson_vectors, config.seed)
-        traces = InterpolantTraceProvider(interp, exact_traces)
+        interp = config.trace_interpolant or fit_tau_interpolant(
+            model.K, config.trace_nodes, backend_traces)
+        traces = InterpolantTraceProvider(interp, backend_traces)
     t_precompute = time.perf_counter() - started
 
     def eval_d_ell(eta: float) -> float:
@@ -428,7 +411,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
 
     # --- scan for sign changes in log10(eta) ---------------------------
     t_lo, t_hi = math.log10(interval[0]), math.log10(interval[1])
-    grid_t = np.linspace(t_lo, t_hi, config.scan_probes)
+    grid_t = np.linspace(t_lo, t_hi, SCAN_PROBES)
     grid_d = np.array([eval_d_ell(10.0 ** t) for t in grid_t])
     bounds_at_probes = [analysis.derivative_bounds(spectrum, n, m, 10.0 ** t)
                         for t in grid_t]
@@ -448,7 +431,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
         try:
             t_root, iters, (b_lo, b_hi, fb_lo, fb_hi) = chandrupatla_root(
                 g, grid_t[i], grid_t[i + 1], x_tol=config.eta_tol,
-                f_tol=f_tol, max_iter=config.max_root_iter,
+                f_tol=f_tol, max_iter=MAX_ROOT_ITER,
                 f_lo=float(grid_d[i]), f_hi=float(grid_d[i + 1]),
                 full_output=True)
         except NumericError as exc:
@@ -456,7 +439,8 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
                                 f"[{grid_t[i]:.3f}, {grid_t[i + 1]:.3f}]: {exc}")
             continue
         n_root_iters += iters
-        f_root = g(t_root)
+        # t_root is an end of the returned bracket, so f there is known
+        f_root = fb_lo if t_root == b_lo else fb_hi
         extra = 0
         if abs(f_root) > f_tol and b_lo != b_hi:
             lo_, hi_ = min(b_lo, b_hi), max(b_lo, b_hi)
@@ -464,7 +448,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
             try:
                 t_root, extra = chandrupatla_root(
                     g, lo_, hi_, x_tol=config.eta_tol * 1e-6, f_tol=f_tol,
-                    max_iter=config.max_root_iter, f_lo=f_lo_, f_hi=f_hi_)
+                    max_iter=MAX_ROOT_ITER, f_lo=f_lo_, f_hi=f_hi_)
             except NumericError:
                 pass
             polish_iters += extra
@@ -473,7 +457,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
         counters["deriv"] += 1
         try:
             d2 = likelihood.d2_ell_deta2(model, eta_root, solver,
-                                         exact_traces)
+                                         backend_traces)
         except NumericError as exc:
             warnings_out.append(
                 f"second-derivative check failed at eta={eta_root:.6g}: {exc}")
@@ -575,7 +559,7 @@ def direct_variances(model: GpModel, init=(0.1, 0.1), tol: float = 1e-6,
         rep = _degenerate_report(model, started)
         rep.method = METHOD_DIRECT
         return rep
-    solver = solver or default_solver(model.K)
+    solver = solver or Solver(model.K)
     counters = {"ell": 0}
 
     def objective(x):
@@ -703,7 +687,6 @@ def direct_optimize(model_builder, init4, priors: PriorSpec | None = None,
     config = config or EstimateConfig()
     priors = priors or PriorSpec()
     counters = {"ell": 0}
-    solver_cache: dict[tuple, tuple] = {}
 
     def objective(x):
         alpha, nu, sigma, sigma0 = x
@@ -715,15 +698,10 @@ def direct_optimize(model_builder, init4, priors: PriorSpec | None = None,
         eta = (sigma0 / sigma) ** 2
         if not np.isfinite(eta):
             return math.inf
-        key = (alpha, nu)
-        if key not in solver_cache:
-            if len(solver_cache) > 8:
-                solver_cache.clear()
-            model = model_builder(alpha, nu)
-            solver_cache[key] = (model, default_solver(model.K))
-        model, solver = solver_cache[key]
+        model = model_builder(alpha, nu)
         if model.degenerate:
             return math.inf
+        solver = Solver(model.K)
         counters["ell"] += 1
         try:
             ell = likelihood.log_marginal_likelihood(

@@ -19,7 +19,8 @@ import scipy.linalg as sla
 
 from .errors import InputError, ModelError
 from .model import GpModel, Solver
-from .traces import ExactTraceProvider
+from .traces import (DEFAULT_HUTCHINSON_VECTORS, ExactTraceProvider,
+                     HutchinsonTraceProvider)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -50,33 +51,42 @@ def _cdot(a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(np.multiply(a, b).tolist())
 
 
+def trace_provider(solver: Solver, seed: int = 0):
+    """The trace route of the solver's backend: exact traces from the
+    eigenbasis spectrum on dense K, Hutchinson estimates with
+    DEFAULT_HUTCHINSON_VECTORS probes on the CG path (no dense matrix)."""
+    if solver.eigvals is None:
+        return HutchinsonTraceProvider(solver.K, solver,
+                                       DEFAULT_HUTCHINSON_VECTORS, seed)
+    return ExactTraceProvider(solver.K, solver.eigvals)
+
+
 def _pieces(model: GpModel, eta: float, solver: Solver) -> SimpleNamespace:
     """Shared per-eta quantities in the solver's basis: z, Y = Kinv X, the
-    m x m factor of X' Kinv X, and w = M z.
+    m x m factor of X' Kinv X, and w = M z.  Kinv [X | z] is one solve.
 
     The basis is orthonormal, so inner products and traces computed from
     these equal those of the standard basis.
     """
     z, X = solver.model_in_basis(model)
-    Y = solver.solve_in_basis(eta, X)
+    S = solver.solve_in_basis(eta, np.column_stack([X, z]))
+    Y, u = S[:, :-1], S[:, -1]
     B = X.T @ Y
     try:
         B_factor = sla.cho_factor(B, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"X' K_eta^{{-1}} X is singular: {exc}") from None
-    u = solver.solve_in_basis(eta, z)
+    # pivots^2 bound the spectrum of B, so a ratio at rounding level means
+    # B is singular at working precision even when the factorization ran
+    pivots = np.diag(B_factor[0]) ** 2
+    ratio = pivots.min() / pivots.max()
+    if ratio <= B.shape[0] * np.finfo(float).eps:
+        raise ModelError(f"X' K_eta^{{-1}} X is singular at eta={eta} "
+                         f"(Cholesky pivot ratio {ratio:.1e})")
     w = u - Y @ sla.cho_solve(B_factor, Y.T @ z, check_finite=False)
     logdet_B = 2.0 * float(np.sum(np.log(np.diag(B_factor[0]))))
     return SimpleNamespace(z=z, Y=Y, B_factor=B_factor, w=w,
                            logdet_B=logdet_B)
-
-
-def _m_action(eta: float, solver: Solver, pieces,
-              v: np.ndarray) -> np.ndarray:
-    """M v for v in the solver's basis."""
-    t = solver.solve_in_basis(eta, v)
-    return t - pieces.Y @ sla.cho_solve(pieces.B_factor, pieces.Y.T @ v,
-                                        check_finite=False)
 
 
 def _require_nondegenerate(model: GpModel):
@@ -92,19 +102,25 @@ def _trace_m1(pieces, eta: float, traces) -> float:
     return traces(eta, 1) - float(np.trace(C))
 
 
-def _trace_m1_sq(eta: float, solver: Solver, pieces, traces) -> float:
-    V = solver.solve_in_basis(eta, pieces.Y)
-    C = sla.cho_solve(pieces.B_factor, pieces.Y.T @ V, check_finite=False)
-    A = sla.cho_solve(pieces.B_factor, pieces.Y.T @ pieces.Y,
-                      check_finite=False)
-    return traces(eta, 2) - 2.0 * float(np.trace(C)) + float(np.trace(A @ A))
+def _second_order(eta: float, solver: Solver, pieces,
+                  traces) -> tuple[float, float]:
+    """(z' M^3 z, trace(M^2)); Kinv [w | Y] is one solve."""
+    Y, w = pieces.Y, pieces.w
+    S = solver.solve_in_basis(eta, np.column_stack([w, Y]))
+    t, V = S[:, 0], S[:, 1:]
+    mw = t - Y @ sla.cho_solve(pieces.B_factor, Y.T @ w, check_finite=False)
+    C = sla.cho_solve(pieces.B_factor, Y.T @ V, check_finite=False)
+    A = sla.cho_solve(pieces.B_factor, Y.T @ Y, check_finite=False)
+    trace_m1_sq = (traces(eta, 2) - 2.0 * float(np.trace(C))
+                   + float(np.trace(A @ A)))
+    return _cdot(w, mw), trace_m1_sq
 
 
 def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
               want_ell: bool, want_second: bool) -> LikelihoodEval:
     _require_nondegenerate(model)
     if traces is None:
-        traces = ExactTraceProvider(model.K, solver.eigvals)
+        traces = trace_provider(solver)
     n, m = model.n, model.m
     pieces = _pieces(model, eta, solver)
 
@@ -128,9 +144,8 @@ def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
     ev = LikelihoodEval(eta=eta, sigma2_hat=s2, ell=ell, d_ell=d_ell,
                         z_m_z=z_m_z, z_m2_z=z_m2_z, trace_m1=t_m1)
     if want_second:
-        mw = _m_action(eta, solver, pieces, pieces.w)
-        ev.z_m3_z = _cdot(pieces.w, mw)
-        ev.trace_m1_sq = _trace_m1_sq(eta, solver, pieces, traces)
+        ev.z_m3_z, ev.trace_m1_sq = _second_order(eta, solver, pieces,
+                                                  traces)
         ev.d2_ell = 0.5 * (ev.trace_m1_sq - 2.0 * ev.z_m3_z / s2
                            + z_m2_z ** 2 / ((n - m) * s2 * s2))
     return ev
@@ -190,8 +205,9 @@ def profile_ell(model: GpModel, eta: float, solver: Solver,
     """Evaluate the profiled likelihood and its eta-derivatives at one point.
 
     ``traces`` is a provider callable (eta, power) -> trace(K_eta^{-power});
-    when omitted, exact traces are read from the dense solver's spectrum
-    (or, for a CG solver, from a full eigendecomposition of K).
+    when omitted, the solver's own route is used (``trace_provider``):
+    exact traces from the dense solver's spectrum, Hutchinson estimates
+    for a CG solver.
     """
     return _evaluate(model, eta, solver, traces, want_ell=True,
                      want_second=second_order)
@@ -201,7 +217,7 @@ def d_ell_deta(model: GpModel, eta: float, solver: Solver,
                traces=None) -> float:
     """First total derivative of the profiled likelihood in eta.
 
-    Costs two linear-solve groups and one trace lookup; no log-determinant.
+    Costs one block solve and one trace lookup; no log-determinant.
     """
     return _evaluate(model, eta, solver, traces, want_ell=False,
                      want_second=False).d_ell

@@ -1,12 +1,12 @@
-"""Covariance/projection algebra: K_eta solves, M-actions, GLS, trace(M).
+"""The problem instance and the numerical backend behind it: solves and
+log-determinants of K_eta = K + eta I.
 
-The central object is M_{1,eta} = Kinv - Kinv X (X' Kinv X)^{-1} X' Kinv
-with Kinv = (K + eta I)^{-1}, applied through linear solves rather than
-materialized.  Dense K is diagonalized once, so each solve is a diagonal
-scaling.  Sparse K is solved by one block conjugate-gradient run per call,
-over all right-hand sides at once, and its log-determinants come from a
-symmetric-mode SuperLU factorization with a minimum-degree ordering.  The
-m x m inner system is always solved densely.
+The storage of K picks the backend.  Dense K is diagonalized once, so each
+solve is a diagonal scaling.  Sparse K is solved by one block
+conjugate-gradient run per call, over all right-hand sides at once, and its
+log-determinants come from a symmetric-mode SuperLU factorization with a
+minimum-degree ordering.  The M-matrix algebra built on these solves lives
+in ``likelihood``.
 """
 
 from __future__ import annotations
@@ -79,20 +79,21 @@ class HyperParams:
 
 class Solver:
     """Solves and log-determinants of K_eta = K + eta I for one correlation
-    matrix.
+    matrix; ``K.storage`` picks the backend (``method``, read-only).
 
-    ``method`` "dense" factors K = U diag(lam) U' once (LAPACK ``evd``
+    Dense storage ("dense") factors K = U diag(lam) U' once (LAPACK ``evd``
     driver).  Every per-eta quantity is then diagonal in the eigenbasis: a
     solve scales by 1 / (lam + eta), log det K_eta = sum log(lam + eta), and
     ``eigvals`` gives trace(K_eta^-p) = sum (lam + eta)^-p.  ``eigvals``
     already carries ``jitter`` (see ``spectral_jitter``), so every one of
     these describes K + jitter I.
 
-    ``method`` "cg" runs conjugate gradients on the stored (sparse)
-    matrix, one block run over all columns of each right-hand side, and
-    takes log-determinants from the pivots of ``sparse_lu`` (symmetric-mode
-    SuperLU, minimum-degree ordering of K + K').  It has no spectrum
-    (``eigvals`` is None) and applies no jitter.
+    Sparse storage ("cg") runs conjugate gradients on the stored matrix,
+    one block run over all columns of each right-hand side (``tol`` and
+    ``max_iter`` apply here only), and takes log-determinants from the
+    pivots of ``sparse_lu`` (symmetric-mode SuperLU, minimum-degree
+    ordering of K + K').  It has no spectrum (``eigvals`` is None) and
+    applies no jitter.
 
     Work in the *basis* of the solver (``model_in_basis``,
     ``solve_in_basis``) is how the likelihood avoids n x n work per eta:
@@ -100,12 +101,9 @@ class Solver:
     A solver is bound to one correlation matrix.
     """
 
-    def __init__(self, K: CorrelationMatrix, method: str = "dense",
-                 tol: float = 1e-10, max_iter: int | None = None):
-        if method not in ("dense", "cg"):
-            raise InputError(f"unknown solver method {method!r}")
+    def __init__(self, K: CorrelationMatrix, *, tol: float = 1e-10,
+                 max_iter: int | None = None):
         self.K = K
-        self.method = method
         self.tol = tol
         self.max_iter = max_iter if max_iter is not None else 10 * K.n
         self.jitter = 0.0
@@ -113,7 +111,7 @@ class Solver:
         self._U = None
         self._rotated = None
         self._logdets: dict[float, float] = {}
-        if method == "dense":
+        if K.storage == "dense":
             try:
                 lam, self._U = sla.eigh(K.toarray(), driver="evd",
                                         check_finite=False)
@@ -122,6 +120,11 @@ class Solver:
                     from None
             self.jitter = spectral_jitter(float(lam[0]), K.n)
             self.eigvals = lam + self.jitter
+
+    @property
+    def method(self) -> str:
+        """"dense" (eigenbasis) or "cg", as set by the storage of K."""
+        return "cg" if self._U is None else "dense"
 
     # -- working basis -----------------------------------------------------
 
@@ -144,14 +147,18 @@ class Solver:
         d = 1.0 / (self.eigvals + eta)
         return d * B if B.ndim == 1 else d[:, None] * B
 
+    def from_basis(self, V: np.ndarray) -> np.ndarray:
+        """V, given in the solver's basis, in the standard basis."""
+        return V if self._U is None else self._U @ V
+
     # -- public API ----------------------------------------------------
 
     def solve(self, eta: float, B: np.ndarray) -> np.ndarray:
         """Return K_eta^{-1} B (to solver tolerance on the CG path)."""
         B = np.asarray(B, dtype=float)
-        if self._U is None:
-            return self.solve_in_basis(eta, B)
-        return self._U @ self.solve_in_basis(eta, self._U.T @ B)
+        if self._U is not None:
+            B = self._U.T @ B
+        return self.from_basis(self.solve_in_basis(eta, B))
 
     def _solve_cg(self, eta: float, B: np.ndarray) -> np.ndarray:
         """One conjugate-gradient run over all columns of B: each iteration
@@ -245,13 +252,6 @@ def sparse_lu(A, eta: float = 0.0):
             f"sparse factorization of K + {eta} I failed: {exc}") from None
 
 
-def default_solver(K: CorrelationMatrix) -> Solver:
-    """The eigenbasis backend for dense storage, CG for sparse/tapered K."""
-    if K.storage == "dense":
-        return Solver(K, "dense")
-    return Solver(K, "cg")
-
-
 @dataclass
 class GpModel:
     """Immutable problem instance: observations, design, correlation, points.
@@ -291,45 +291,3 @@ class GpModel:
     @property
     def m(self) -> int:
         return self.X.m
-
-
-def solve_K_eta(model: GpModel, eta: float, B: np.ndarray,
-                solver: Solver) -> np.ndarray:
-    """Solution of (K + eta I) U = B."""
-    return solver.solve(eta, B)
-
-
-def _xty_solve(model: GpModel, Y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the m x m system (X' Y) a = rhs densely."""
-    B = model.X.entries.T @ Y
-    try:
-        return sla.solve(B, rhs, assume_a="sym")
-    except np.linalg.LinAlgError as exc:
-        raise ModelError(f"X' K_eta^{{-1}} X is singular: {exc}") from None
-
-
-def m1_apply(model: GpModel, eta: float, solver: Solver) -> np.ndarray:
-    """w = M_{1,eta} z via u = Kinv z, Y = Kinv X, w = u - Y (X'Y)^{-1} Y'z."""
-    u = solver.solve(eta, model.z)
-    Y = solver.solve(eta, model.X.entries)
-    a = _xty_solve(model, Y, Y.T @ model.z)
-    return u - Y @ a
-
-
-def beta_gls(model: GpModel, eta: float, solver: Solver) -> np.ndarray:
-    """Generalized least squares coefficients (sigma^2 cancels, K_eta suffices)."""
-    Y = solver.solve(eta, model.X.entries)
-    return _xty_solve(model, Y, Y.T @ model.z)
-
-
-def trace_m1(model: GpModel, eta: float, solver: Solver,
-             trace_k_inv) -> float:
-    """trace(M_{1,eta}) from trace(K_eta^{-1}) minus the exact m x m correction.
-
-    ``trace_k_inv`` is either the scalar trace(K_eta^{-1}) or a callable
-    eta -> trace(K_eta^{-1}) (a trace provider).
-    """
-    t_kinv = trace_k_inv(eta) if callable(trace_k_inv) else float(trace_k_inv)
-    Y = solver.solve(eta, model.X.entries)
-    C = _xty_solve(model, Y, Y.T @ Y)
-    return t_kinv - float(np.trace(C))

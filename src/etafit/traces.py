@@ -1,5 +1,8 @@
-"""trace((K + eta I)^{-1}) by eigenvalues, Cholesky, or Hutchinson sampling,
-plus the fractional-power interpolant for cheap repeated evaluation.
+"""Trace providers, callables (eta, power) -> trace((K + eta I)^-power):
+exact sums over the spectrum of dense K, Hutchinson estimates through a
+solver, and the fractional-power interpolant fitted from either for cheap
+repeated evaluation.  ``likelihood.trace_provider`` picks the route that
+matches the solver's backend.
 
 The interpolant represents the normalized trace tau(eta) = trace(K_eta^{-1})/n
 through 1/tau(eta) = 1/tau0 + sum_i w_i eta^{1/(i+1)} with w_0 = 1 fixed, so
@@ -16,65 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sparse
 
-from .errors import InputError, NumericError, SolverError
+from .errors import InputError, NumericError
 from .kernels import CorrelationMatrix
 from .model import spectral_jitter
 
 MAX_INTERPOLANT_NODES = 8
 DEFAULT_NODES = (1.0, 10.0, 40.0, 100.0, 1000.0)
-EIGEN_MAX_N = 1024
-CHOLESKY_MAX_N = 8192
 DEFAULT_HUTCHINSON_VECTORS = 20
 CONDITION_WARN = 1e10
-
-
-def _as_dense(K) -> np.ndarray:
-    if isinstance(K, CorrelationMatrix):
-        return K.toarray()
-    if sparse.issparse(K):
-        return K.toarray()
-    return np.asarray(K, dtype=float)
-
-
-def eigenvalues(K) -> np.ndarray:
-    """All eigenvalues of K, ascending (dense path)."""
-    A = _as_dense(K)
-    try:
-        return sla.eigh(A, eigvals_only=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from None
-
-
-def _trace_eigvals(K) -> np.ndarray:
-    """Eigenvalues of K + jitter I, with the solver's jitter policy
-    (``model.spectral_jitter``), for 1/(lambda+eta) sums."""
-    ev = eigenvalues(K)
-    return ev + spectral_jitter(float(ev[0]), ev.size)
-
-
-def trace_inv_eigen(K, eta: float, eigvals: np.ndarray | None = None) -> float:
-    """sum_i 1/(lambda_i + eta) from the full spectrum of K."""
-    if eigvals is None:
-        eigvals = _trace_eigvals(K)
-    return float(np.sum(1.0 / (eigvals + eta)))
-
-
-def trace_inv_cholesky(K, eta: float) -> float:
-    """Squared Frobenius norm of L^{-1} where K + eta I = L L'.
-
-    Applies no jitter: an indefinite K + eta I raises SolverError.
-    """
-    n = _n_of(K)
-    A = _as_dense(K) + eta * np.eye(n)
-    try:
-        L = sla.cholesky(A, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Cholesky failed for eta={eta}: {exc}") from None
-    Linv = sla.solve_triangular(L, np.eye(L.shape[0]), lower=True,
-                                check_finite=False)
-    return float(np.sum(Linv * Linv))
 
 
 def _n_of(K) -> int:
@@ -122,7 +75,7 @@ class TraceInterpolant:
     tau_values: tuple
     weights: tuple
     n: int
-    method: str = "cholesky"
+    method: str = "exact"
     seed: int | None = None
     cond: float = 1.0
 
@@ -149,33 +102,10 @@ class TraceInterpolant:
                    d.get("cond", 1.0))
 
 
-def pick_trace_method(K) -> str:
-    """eigen for small dense K, Cholesky for mid-size dense, else Hutchinson."""
-    n = _n_of(K)
-    is_sparse = isinstance(K, CorrelationMatrix) and K.storage == "sparse"
-    if not is_sparse and n <= EIGEN_MAX_N:
-        return "eigen"
-    if not is_sparse and n <= CHOLESKY_MAX_N:
-        return "cholesky"
-    return "hutchinson"
-
-
-def _trace_at(K, eta, method, solver, n_vectors, seed, eigvals):
-    if method == "eigen":
-        return trace_inv_eigen(K, eta, eigvals)
-    if method == "cholesky":
-        return trace_inv_cholesky(K, eta)
-    if method == "hutchinson":
-        if solver is None:
-            raise InputError("hutchinson trace needs a solver")
-        return trace_inv_hutchinson(K, eta, solver, n_vectors, seed)[0]
-    raise InputError(f"unknown trace method {method!r}")
-
-
-def fit_tau_interpolant(K, nodes=DEFAULT_NODES, trace_method: str = "auto",
-                        solver=None, n_vectors: int = DEFAULT_HUTCHINSON_VECTORS,
-                        seed: int = 0) -> TraceInterpolant:
-    """Compute tau at eta=0 and the nodes, then solve for the weights.
+def fit_tau_interpolant(K, nodes, traces) -> TraceInterpolant:
+    """Compute tau at eta=0 and the nodes from the provider ``traces``
+    (``ExactTraceProvider`` or ``HutchinsonTraceProvider``, whose ``method``
+    and ``seed`` the interpolant records), then solve for the weights.
 
     The p x p node system is solved by dense LU with partial pivoting; its
     condition number is recorded and a warning is emitted when it is large.
@@ -193,16 +123,9 @@ def fit_tau_interpolant(K, nodes=DEFAULT_NODES, trace_method: str = "auto",
         raise InputError("interpolation nodes must be distinct")
     nodes = tuple(sorted(nodes))
 
-    if trace_method == "auto":
-        trace_method = pick_trace_method(K)
-    eigvals = _trace_eigvals(K) if trace_method == "eigen" else None
-
     n = _n_of(K)
-    tau0 = _trace_at(K, 0.0, trace_method, solver, n_vectors, seed,
-                     eigvals) / n
-    tau_values = tuple(
-        _trace_at(K, e, trace_method, solver, n_vectors, seed, eigvals) / n
-        for e in nodes)
+    tau0 = traces(0.0) / n
+    tau_values = tuple(traces(e) / n for e in nodes)
 
     cond = 1.0
     if p == 0:
@@ -224,7 +147,7 @@ def fit_tau_interpolant(K, nodes=DEFAULT_NODES, trace_method: str = "auto",
         weights = (1.0,) + tuple(float(x) for x in w)
 
     return TraceInterpolant(nodes, float(tau0), tau_values, weights, n,
-                            trace_method, seed, cond)
+                            traces.method, traces.seed, cond)
 
 
 def eval_tau(interp: TraceInterpolant, eta: float) -> float:
@@ -254,13 +177,24 @@ class ExactTraceProvider:
     """Callable (eta, power) -> trace(K_eta^{-power}) = sum (lam + eta)^-power.
 
     ``eigvals`` is a spectrum already known, such as a dense Solver's
-    ``eigvals``; without it the full spectrum of K is computed once and
-    shifted by the solver's jitter policy.
+    ``eigvals``.  Without it the full spectrum of K is computed once (K is
+    densified) and shifted by the solver's jitter policy: the dense oracle.
     """
+
+    method = "exact"
+    seed = None
 
     def __init__(self, K, eigvals: np.ndarray | None = None):
         self.K = K
-        self.eigvals = _trace_eigvals(K) if eigvals is None else eigvals
+        if eigvals is None:
+            try:
+                eigvals = sla.eigvalsh(K.toarray(), check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(
+                    f"eigendecomposition failed: {exc}") from None
+            eigvals = eigvals + spectral_jitter(float(eigvals[0]),
+                                                eigvals.size)
+        self.eigvals = eigvals
 
     def __call__(self, eta: float, power: int = 1) -> float:
         return float(np.sum((self.eigvals + eta) ** (-power)))
@@ -268,6 +202,8 @@ class ExactTraceProvider:
 
 class HutchinsonTraceProvider:
     """Stochastic provider for sparse paths; power 2 uses ||K_eta^{-1} v||^2."""
+
+    method = "hutchinson"
 
     def __init__(self, K, solver, n_vectors: int = DEFAULT_HUTCHINSON_VECTORS,
                  seed: int = 0):

@@ -7,7 +7,9 @@ these serve as independent references.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from etafit import likelihood
 from etafit.design import BasisSpec, build_design
 from etafit.kernels import CorrelationKernel, correlation_matrix
 from etafit.model import GpModel, Solver
@@ -26,7 +28,19 @@ def random_model(n=8, q=1, seed=0, alpha=0.4, noise=0.3):
 
 
 def dense_solver(model):
-    return Solver(model.K, "dense")
+    return Solver(model.K)
+
+
+def m_action(model, eta, solver):
+    """The implementation's own w = M_{1,eta} z, in the standard basis."""
+    return solver.from_basis(likelihood._pieces(model, eta, solver).w)
+
+
+def gls_beta(model, eta, solver):
+    """GLS coefficients (X' Kinv X)^{-1} X' Kinv z from the implementation's
+    m x m factor; basis-independent."""
+    p = likelihood._pieces(model, eta, solver)
+    return sla.cho_solve(p.B_factor, p.Y.T @ p.z)
 
 
 def dense_m1(model, eta):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import etafit
-from conftest import dense_g_h, dense_m1, random_model
+from conftest import dense_g_h, dense_m1, m_action, random_model
 from etafit import likelihood
 from etafit.datagen import generate_synthetic
 from etafit.design import BasisSpec, build_design
@@ -29,7 +29,7 @@ from etafit.estimation import (EstimateConfig, chandrupatla_root,
 from etafit.kernels import CorrelationKernel, correlation_matrix
 from etafit.model import GpModel, Solver
 from etafit.traces import (ExactTraceProvider, InterpolantTraceProvider,
-                           eval_tau, fit_tau_interpolant, trace_inv_cholesky)
+                           eval_tau, fit_tau_interpolant)
 
 # Noise seeds for the regenerated datasets (documented reference runs).
 REFERENCE_SEED = 23
@@ -123,7 +123,7 @@ def test_criterion_3_derivative_curve_structure(reference):
     dist1 = min(abs(math.log10(r) - t_exact) for r in roots1)
     dist2 = min(abs(math.log10(r) - t_exact) for r in roots2)
 
-    solver = Solver(model.K, "dense")
+    solver = Solver(model.K)
     traces = ExactTraceProvider(model.K)
     spectrum = etafit.spectrum_bounds(model.K)
     inside = True
@@ -176,9 +176,10 @@ def test_criterion_5_root_finder_convergence(reference):
     brackets = report.diagnostics["brackets"]
     iter_counts = [b["iterations"] for b in brackets]
 
-    interp = fit_tau_interpolant(model.K, config.trace_nodes)
+    interp = fit_tau_interpolant(model.K, config.trace_nodes,
+                                 ExactTraceProvider(model.K))
     traces = InterpolantTraceProvider(interp)
-    solver = Solver(model.K, "dense")
+    solver = Solver(model.K)
 
     def g(t):
         return likelihood.d_ell_deta(model, 10.0 ** t, solver, traces)
@@ -244,7 +245,7 @@ def test_criterion_7_gradient_oracle_suite():
     worst_second = 0.0
     for seed in range(10):
         model = random_model(n=24, q=1, seed=100 + seed, alpha=0.3)
-        solver = Solver(model.K, "dense")
+        solver = Solver(model.K)
         traces = ExactTraceProvider(model.K)
         for eta in np.logspace(-2, 2, 20):
             h = 1e-5 * eta
@@ -276,14 +277,14 @@ def test_criterion_8_dense_oracle_equivalence():
     checks = []
     for seed in (200, 201, 202):
         model = random_model(n=8, q=1, seed=seed, alpha=0.4)
-        solver = Solver(model.K, "dense")
+        solver = Solver(model.K)
         traces = ExactTraceProvider(model.K)
         n, m, z = model.n, model.m, model.z
         for eta in (0.3, 2.0):
             M = dense_m1(model, eta)
             ev = likelihood.profile_ell(model, eta, solver, traces,
                                         second_order=True)
-            w = etafit.m1_apply(model, eta, solver)
+            w = m_action(model, eta, solver)
             G, H = dense_g_h(model, eta)
             t1 = np.trace(M) / (n - m)
             t2 = np.trace(M @ M) / (n - m)
@@ -329,9 +330,9 @@ def interpolation_problem():
     rng = np.random.default_rng(7)
     pts = rng.uniform(size=(500, 2))
     K = correlation_matrix(pts, CorrelationKernel("exponential", 0.1))
-    interp = fit_tau_interpolant(K, (1.0, 10.0, 40.0, 100.0, 1000.0),
-                                 "cholesky")
-    return K, interp
+    exact = ExactTraceProvider(K)
+    interp = fit_tau_interpolant(K, (1.0, 10.0, 40.0, 100.0, 1000.0), exact)
+    return K, exact, interp
 
 
 @pytest.mark.xfail(
@@ -341,10 +342,10 @@ def interpolation_problem():
            "span (see the decisions ledger); accuracy over the node span "
            "is pinned by the companion test")
 def test_criterion_9_trace_interpolation_full_range(interpolation_problem):
-    K, interp = interpolation_problem
+    K, exact_traces, interp = interpolation_problem
     worst = 0.0
     for eta in np.logspace(-3, 3, 25):
-        exact = trace_inv_cholesky(K, eta)
+        exact = exact_traces(eta)
         approx = K.n * eval_tau(interp, eta)
         worst = max(worst, abs(approx - exact) / exact)
     print(f"\nACCEPTANCE 9 (range [1e-3,1e3]): "
@@ -354,17 +355,17 @@ def test_criterion_9_trace_interpolation_full_range(interpolation_problem):
 
 
 def test_criterion_9_trace_interpolation(interpolation_problem):
-    K, interp = interpolation_problem
+    K, exact_traces, interp = interpolation_problem
     worst = 0.0
     for eta in np.logspace(0, 3, 25):
-        exact = trace_inv_cholesky(K, eta)
+        exact = exact_traces(eta)
         approx = K.n * eval_tau(interp, eta)
         worst = max(worst, abs(approx - exact) / exact)
 
-    flat = fit_tau_interpolant(K, (), "cholesky")
+    flat = fit_tau_interpolant(K, (), exact_traces)
     upper_bound_holds = True
     for eta in np.logspace(-3, 3, 25):
-        exact_tau = trace_inv_cholesky(K, eta) / K.n
+        exact_tau = exact_traces(eta) / K.n
         upper_bound_holds = upper_bound_holds and (
             eval_tau(flat, eta) >= exact_tau * (1.0 - 1e-12))
     checks = [
@@ -380,7 +381,7 @@ def test_criterion_9_trace_interpolation(interpolation_problem):
 
 def test_criterion_10_limit_identities():
     model = random_model(n=12, q=1, seed=300, alpha=0.3)
-    solver = Solver(model.K, "dense")
+    solver = Solver(model.K)
     n, m = model.n, model.m
     z, X = model.z, model.X.entries
 

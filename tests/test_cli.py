@@ -218,15 +218,6 @@ class TestBenchmarkCommand:
             direct = by_key[(n, "direct")]
             assert int(profiled[6]) < int(direct[6])
 
-    def test_concurrent_jobs_produce_all_rows(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = main(["benchmark", "--sizes", "64,100", "--jobs", "2",
-                   "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 5
-        assert all(line.count(",") == 8 for line in lines)
-
     def test_wall_time_grows_with_n(self, tmp_path):
         out = tmp_path / "bench.csv"
         main(["benchmark", "--sizes", "64,400", "--out", str(out)])

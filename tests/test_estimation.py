@@ -19,7 +19,7 @@ from etafit.estimation import (EstimateConfig, Prior, PriorSpec,
                                uniform_priors)
 from etafit.kernels import (CorrelationKernel, CorrelationMatrix,
                             correlation_matrix)
-from etafit.model import GpModel, default_solver
+from etafit.model import GpModel, Solver
 
 # a tapered grid that the default estimator fits on the sparse path
 SPARSE_SIDE, SPARSE_ALPHA, SPARSE_TAPER = 20, 0.05, 0.05
@@ -223,10 +223,10 @@ class TestEstimateVariances:
         report = estimate_variances(model, config=config)
         assert report.outcome == "interior"
         assert report.diagnostics["trace"]["interpolated"]
-        solver = default_solver(model.K)
-        interp = fit_tau_interpolant(model.K, config.trace_nodes,
-                                     config.trace_method, solver,
-                                     config.hutchinson_vectors, config.seed)
+        solver = Solver(model.K)
+        interp = fit_tau_interpolant(
+            model.K, config.trace_nodes,
+            likelihood.trace_provider(solver, config.seed))
         traces = InterpolantTraceProvider(interp)
         f_tol = config.f_tol_scale * (model.n - model.m)
         d_at_root = likelihood.d_ell_deta(model, report.hyperparams.eta,

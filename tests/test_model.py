@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from conftest import dense_m1, dense_p, dense_solver, random_model
+from conftest import (dense_m1, dense_p, dense_solver, gls_beta, m_action,
+                      random_model)
 from etafit.design import BasisSpec, build_design
 from etafit.errors import InputError, ModelError
 from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
-from etafit.model import (GpModel, HyperParams, Solver, beta_gls,
-                          default_solver, m1_apply, solve_K_eta, trace_m1)
+from etafit.likelihood import profile_ell
+from etafit.model import GpModel, HyperParams, Solver
 from etafit.traces import ExactTraceProvider
 
 
@@ -33,7 +34,7 @@ class TestSolver:
         b = np.arange(1.0, 13.0)
         for eta in (0.0, 0.5, 3.0):
             np.testing.assert_allclose(
-                solve_K_eta(model, eta, b, solver), b / (1.0 + eta),
+                solver.solve(eta, b), b / (1.0 + eta),
                 rtol=1e-12)
 
     def test_matches_explicit_inverse(self):
@@ -45,13 +46,13 @@ class TestSolver:
             expected = np.linalg.inv(
                 model.K.toarray() + eta * np.eye(6)) @ B
             np.testing.assert_allclose(
-                solve_K_eta(model, eta, B, solver), expected, atol=1e-9)
+                solver.solve(eta, B), expected, atol=1e-9)
 
     def test_large_eta_limit(self):
         model = random_model(n=20, seed=3)
         solver = dense_solver(model)
         b = np.linspace(-1.0, 1.0, 20)
-        x = solve_K_eta(model, 1e8, b, solver)
+        x = solver.solve(1e8, b)
         np.testing.assert_allclose(x, b / 1e8, rtol=1e-6)
 
     def test_cg_agrees_with_dense(self):
@@ -60,9 +61,8 @@ class TestSolver:
         pts = rng.uniform(size=(60, 2))
         K = correlation_matrix(pts, kernel)
         assert K.storage == "sparse"
-        cg = Solver(K, "cg", tol=1e-12)
-        dense = Solver(CorrelationMatrix(K.toarray(), "dense", K.n),
-                       "dense")
+        cg = Solver(K, tol=1e-12)
+        dense = Solver(CorrelationMatrix(K.toarray(), "dense", K.n))
         b = rng.standard_normal(60)
         np.testing.assert_allclose(cg.solve(0.5, b), dense.solve(0.5, b),
                                    atol=1e-8)
@@ -84,13 +84,18 @@ class TestSolver:
         with pytest.raises(InputError):
             solver.solve(math.inf, model.z)
 
-    def test_default_solver_selection(self):
+    def test_backend_follows_storage(self):
         dense = correlation_matrix(np.random.default_rng(0).uniform(size=(8, 2)),
                                    CorrelationKernel("exponential", 0.1))
-        assert default_solver(dense).method == "dense"
+        solver = Solver(dense)
+        assert solver.method == "dense" and solver.eigvals is not None
         entries = sparse.identity(10, format="csr")
-        sparse_K = CorrelationMatrix(entries, "sparse", 10)
-        assert default_solver(sparse_K).method == "cg"
+        solver = Solver(CorrelationMatrix(entries, "sparse", 10))
+        assert solver.method == "cg" and solver.eigvals is None
+        with pytest.raises(AttributeError):
+            solver.method = "dense"
+        with pytest.raises(TypeError):
+            Solver(dense, "cg")
 
     def test_jitter_retry_on_indefinite_matrix(self):
         # an explicitly indefinite "correlation" matrix triggers the jitter
@@ -98,7 +103,7 @@ class TestSolver:
         A = np.eye(n)
         A[0, 1] = A[1, 0] = 1.0 + 1e-13  # barely indefinite
         K = CorrelationMatrix(A, "dense", n)
-        solver = Solver(K, "dense")
+        solver = Solver(K)
         x = solver.solve(0.0, np.ones(n))
         assert solver.jitter > 0
         assert np.all(np.isfinite(x))
@@ -112,7 +117,7 @@ class TestSolver:
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         lam = np.linspace(-0.01, 2.0, n)
         K = CorrelationMatrix((Q * lam) @ Q.T, "dense", n)
-        solver = Solver(K, "dense")
+        solver = Solver(K)
         assert solver.jitter == pytest.approx(0.01 + 1e-10 * n, rel=1e-8)
         A = K.entries + (eta + solver.jitter) * np.eye(n)
         A_inv = np.linalg.inv(A)
@@ -135,7 +140,7 @@ class TestM1Apply:
             model = random_model(n=10, q=1, seed=seed)
             solver = dense_solver(model)
             for eta in (0.0, 0.3, 5.0):
-                w = m1_apply(model, eta, solver)
+                w = m_action(model, eta, solver)
                 resid = model.X.entries.T @ w
                 assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(w)
 
@@ -147,7 +152,7 @@ class TestM1Apply:
         z = X.entries @ np.array([1.0, -2.0, 0.5])
         model = GpModel(z, X, K, pts)
         assert model.degenerate
-        w = m1_apply(model, 0.7, dense_solver(model))
+        w = m_action(model, 0.7, dense_solver(model))
         assert np.linalg.norm(w) <= 1e-10 * np.linalg.norm(z)
 
     def test_matches_dense_construction(self):
@@ -155,14 +160,14 @@ class TestM1Apply:
         solver = dense_solver(model)
         for eta in (0.0, 0.4, 2.0):
             expected = dense_m1(model, eta) @ model.z
-            np.testing.assert_allclose(m1_apply(model, eta, solver),
+            np.testing.assert_allclose(m_action(model, eta, solver),
                                        expected, atol=1e-10)
 
 
 class TestBetaGls:
     def test_identity_correlation_reduces_to_ols(self):
         model = identity_model(n=15, q=1, seed=7)
-        beta = beta_gls(model, 0.0, dense_solver(model))
+        beta = gls_beta(model, 0.0, dense_solver(model))
         ols, *_ = np.linalg.lstsq(model.X.entries, model.z, rcond=None)
         np.testing.assert_allclose(beta, ols, atol=1e-10)
 
@@ -173,7 +178,7 @@ class TestBetaGls:
         K = correlation_matrix(pts, CorrelationKernel("exponential", 0.3))
         beta_true = np.array([0.4, 1.5, -0.7])
         model = GpModel(X.entries @ beta_true, X, K, pts)
-        beta = beta_gls(model, 1.3, dense_solver(model))
+        beta = gls_beta(model, 1.3, dense_solver(model))
         np.testing.assert_allclose(beta, beta_true, atol=1e-10)
 
     def test_matches_dense_normal_equations(self):
@@ -183,7 +188,7 @@ class TestBetaGls:
         Kinv = np.linalg.inv(model.K.toarray() + eta * np.eye(8))
         X = model.X.entries
         expected = np.linalg.solve(X.T @ Kinv @ X, X.T @ Kinv @ model.z)
-        np.testing.assert_allclose(beta_gls(model, eta, solver), expected,
+        np.testing.assert_allclose(gls_beta(model, eta, solver), expected,
                                    atol=1e-9)
 
 
@@ -193,8 +198,8 @@ class TestTraceM1:
         solver = dense_solver(model)
         n, m = model.n, model.m
         for eta in (0.0, 1.0, 9.0):
-            t = trace_m1(model, eta, solver,
-                         lambda e: n / (1.0 + e))
+            t = profile_ell(model, eta, solver,
+                            lambda e, power=1: n / (1.0 + e)).trace_m1
             assert t == pytest.approx((n - m) / (1.0 + eta), rel=1e-12)
 
     def test_matches_dense_trace(self):
@@ -202,7 +207,8 @@ class TestTraceM1:
         solver = dense_solver(model)
         for eta in (0.0, 0.2, 4.0):
             Kinv = np.linalg.inv(model.K.toarray() + eta * np.eye(6))
-            t = trace_m1(model, eta, solver, float(np.trace(Kinv)))
+            t = profile_ell(model, eta, solver,
+                            lambda e, power=1: np.trace(Kinv)).trace_m1
             expected = float(np.trace(dense_m1(model, eta)))
             assert t == pytest.approx(expected, abs=1e-9)
 

@@ -14,8 +14,10 @@ from etafit.errors import ModelError, SolverError
 from etafit.estimation import EstimateConfig, estimate_variances
 from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
-from etafit.likelihood import profile_ell
-from etafit.model import GpModel, Solver, default_solver
+from etafit.likelihood import (d2_ell_deta2, d_ell_deta, profile_ell,
+                               sigma2_hat)
+from etafit.model import GpModel, Solver
+from etafit.traces import DEFAULT_HUTCHINSON_VECTORS, HutchinsonTraceProvider
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +32,7 @@ def sparse_problem():
 class TestSparseEstimation:
     def test_matrix_is_sparse_and_solver_is_cg(self, sparse_problem):
         assert sparse_problem.K.storage == "sparse"
-        assert default_solver(sparse_problem.K).method == "cg"
+        assert Solver(sparse_problem.K).method == "cg"
 
     def test_end_to_end_estimate(self, sparse_problem):
         report = estimate_variances(sparse_problem)
@@ -50,24 +52,40 @@ class TestSparseEstimation:
             dense_report.hyperparams.sigma0, rel=0.02)
 
     def test_sparse_logdet_matches_dense(self, sparse_problem):
-        cg = Solver(sparse_problem.K, "cg")
+        cg = Solver(sparse_problem.K)
         dense = Solver(CorrelationMatrix(sparse_problem.K.toarray(), "dense",
-                                         sparse_problem.K.n),
-                       "dense")
+                                         sparse_problem.K.n))
         for eta in (0.5, 5.0):
             assert cg.logdet(eta) == pytest.approx(dense.logdet(eta),
                                                    rel=1e-9)
 
     def test_profile_ell_on_cg_path(self, sparse_problem):
-        cg = Solver(sparse_problem.K, "cg")
+        cg = Solver(sparse_problem.K)
         dense = Solver(CorrelationMatrix(sparse_problem.K.toarray(), "dense",
-                                         sparse_problem.K.n),
-                       "dense")
+                                         sparse_problem.K.n))
         ev_cg = profile_ell(sparse_problem, 2.0, cg)
         ev_dense = profile_ell(sparse_problem, 2.0, dense)
         assert ev_cg.ell == pytest.approx(ev_dense.ell, rel=1e-8)
         assert ev_cg.sigma2_hat == pytest.approx(ev_dense.sigma2_hat,
                                                  rel=1e-8)
+
+    def test_default_traces_on_cg_path_never_densify(self, sparse_problem,
+                                                     monkeypatch):
+        # without a provider, a CG solver uses its own Hutchinson route;
+        # it must never form the dense n x n matrix
+        solver = Solver(sparse_problem.K)
+        hutchinson = HutchinsonTraceProvider(
+            sparse_problem.K, solver, DEFAULT_HUTCHINSON_VECTORS, 0)
+
+        def densify(self):
+            raise AssertionError("K.toarray() called on the CG path")
+
+        monkeypatch.setattr(CorrelationMatrix, "toarray", densify)
+        for eta in (0.1, 3.0):
+            assert d_ell_deta(sparse_problem, eta, solver) == d_ell_deta(
+                sparse_problem, eta, solver, hutchinson)
+            assert d2_ell_deta2(sparse_problem, eta, solver) == d2_ell_deta2(
+                sparse_problem, eta, solver, hutchinson)
 
 
 class TestBlockCg:
@@ -77,7 +95,7 @@ class TestBlockCg:
         rng = np.random.default_rng(7)
         B = np.column_stack([sparse_problem.z, sparse_problem.X.entries,
                              np.zeros(n), rng.standard_normal((n, 3))])
-        solver = Solver(sparse_problem.K, "cg")
+        solver = Solver(sparse_problem.K)
         got = solver.solve(eta, B)
         A = (sparse_problem.K.entries
              + eta * sparse.identity(n, format="csr"))
@@ -95,12 +113,12 @@ class TestBlockCg:
         assert np.all(resid <= solver.tol * bnorm)
 
     def test_zero_columns_need_no_iteration(self, sparse_problem):
-        solver = Solver(sparse_problem.K, "cg", max_iter=0)
+        solver = Solver(sparse_problem.K, max_iter=0)
         B = np.zeros((sparse_problem.n, 3))
         np.testing.assert_array_equal(solver.solve(0.5, B), B)
 
     def test_vector_in_vector_out(self, sparse_problem):
-        solver = Solver(sparse_problem.K, "cg")
+        solver = Solver(sparse_problem.K)
         x = solver.solve(0.5, sparse_problem.z)
         assert x.shape == (sparse_problem.n,)
         np.testing.assert_array_equal(
@@ -118,7 +136,7 @@ def duplicate_point_K():
 
 class TestSolverErrors:
     def test_cg_iteration_budget(self, sparse_problem):
-        solver = Solver(sparse_problem.K, "cg", tol=1e-14, max_iter=2)
+        solver = Solver(sparse_problem.K, tol=1e-14, max_iter=2)
         with pytest.raises(SolverError, match="residual"):
             solver.solve(1e-4, sparse_problem.z)
 
@@ -126,9 +144,9 @@ class TestSolverErrors:
         K = duplicate_point_K()
         assert K.storage == "sparse"
         with pytest.raises(SolverError, match="K \\+ 0.0 I"):
-            Solver(K, "cg").logdet(0.0)
+            Solver(K).logdet(0.0)
         A = K.toarray() + 0.5 * np.eye(K.n)
-        assert Solver(K, "cg").logdet(0.5) == pytest.approx(
+        assert Solver(K).logdet(0.5) == pytest.approx(
             np.linalg.slogdet(A)[1], rel=1e-12)
 
     def test_singular_spectrum_raises_solver_error(self):
@@ -143,14 +161,13 @@ class TestSolverErrors:
                                format="csr")
         K = CorrelationMatrix(entries, "sparse", n)
         with pytest.raises(SolverError, match="not positive definite"):
-            Solver(K, "cg").logdet(0.0)
+            Solver(K).logdet(0.0)
         A = entries.toarray() + np.eye(n)
-        assert Solver(K, "cg").logdet(1.0) == pytest.approx(
+        assert Solver(K).logdet(1.0) == pytest.approx(
             np.linalg.slogdet(A)[1], rel=1e-12)
 
     def test_singular_inner_system_raises_model_error(self):
         from etafit.design import DesignMatrix
-        from etafit.model import m1_apply
         rng = np.random.default_rng(0)
         pts = rng.uniform(size=(10, 2))
         col = rng.standard_normal(10)
@@ -158,7 +175,7 @@ class TestSolverErrors:
         K = correlation_matrix(pts, CorrelationKernel("exponential", 0.2))
         model = GpModel(rng.standard_normal(10), X, K, pts)
         with pytest.raises(ModelError):
-            m1_apply(model, 0.5, Solver(K, "dense"))
+            sigma2_hat(model, 0.5, Solver(K))
 
 
 class TestTaperedSpectrum:

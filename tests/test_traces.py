@@ -7,9 +7,9 @@ from etafit.errors import InputError
 from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
 from etafit.model import Solver
-from etafit.traces import (HutchinsonTraceProvider, TraceInterpolant,
-                           eval_tau, fit_tau_interpolant, trace_inv_cholesky,
-                           trace_inv_eigen, trace_inv_hutchinson)
+from etafit.traces import (ExactTraceProvider, HutchinsonTraceProvider,
+                           TraceInterpolant, eval_tau, fit_tau_interpolant,
+                           trace_inv_hutchinson)
 
 
 def random_corr(n, seed=0, alpha=0.3):
@@ -25,56 +25,61 @@ def random_spd(n, seed=0):
     return CorrelationMatrix(S, "dense", n)
 
 
+def solver_traces(K):
+    """Exact traces from the dense solver's own spectrum."""
+    return ExactTraceProvider(K, Solver(K).eigvals)
+
+
 class TestExactTraces:
     def test_identity_closed_form(self):
         K = CorrelationMatrix(np.eye(40), "dense", 40)
-        for eta in (0.0, 1.0, 7.5):
-            assert trace_inv_eigen(K, eta) == pytest.approx(
-                40.0 / (1.0 + eta), rel=1e-12)
-            assert trace_inv_cholesky(K, eta) == pytest.approx(
-                40.0 / (1.0 + eta), rel=1e-12)
+        for traces in (ExactTraceProvider(K), solver_traces(K)):
+            for eta in (0.0, 1.0, 7.5):
+                assert traces(eta) == pytest.approx(40.0 / (1.0 + eta),
+                                                    rel=1e-12)
 
     def test_eigen_matches_explicit_inverse(self):
         K = random_spd(50, seed=1)
+        traces = ExactTraceProvider(K)
         for eta in (0.0, 0.3, 10.0):
             expected = float(np.trace(np.linalg.inv(
                 K.entries + eta * np.eye(50))))
-            assert trace_inv_eigen(K, eta) == pytest.approx(expected,
-                                                            abs=1e-9)
+            assert traces(eta) == pytest.approx(expected, abs=1e-9)
 
-    def test_cholesky_matches_explicit_inverse(self):
+    def test_solver_spectrum_matches_explicit_inverse(self):
         K = random_spd(50, seed=2)
+        traces = solver_traces(K)
         for eta in (0.0, 0.3, 10.0):
-            expected = float(np.trace(np.linalg.inv(
-                K.entries + eta * np.eye(50))))
-            assert trace_inv_cholesky(K, eta) == pytest.approx(expected,
-                                                               abs=1e-9)
+            inv = np.linalg.inv(K.entries + eta * np.eye(50))
+            assert traces(eta, 1) == pytest.approx(float(np.trace(inv)),
+                                                   abs=1e-9)
+            assert traces(eta, 2) == pytest.approx(float(np.sum(inv * inv)),
+                                                   abs=1e-9)
 
-    def test_eigen_and_cholesky_agree(self):
+    def test_oracle_and_solver_spectrum_agree(self):
         K = random_corr(200, seed=3)
+        oracle, traces = ExactTraceProvider(K), solver_traces(K)
         for eta in (0.1, 1.0, 100.0):
-            a = trace_inv_eigen(K, eta)
-            b = trace_inv_cholesky(K, eta)
-            assert a == pytest.approx(b, rel=1e-8)
+            assert traces(eta) == pytest.approx(oracle(eta), rel=1e-8)
 
 
 class TestHutchinson:
     def test_identity_has_zero_variance(self):
         K = CorrelationMatrix(np.eye(25), "dense", 25)
-        solver = Solver(K, "dense")
+        solver = Solver(K)
         est, stderr = trace_inv_hutchinson(K, 1.5, solver, 8, seed=0)
         assert est == pytest.approx(25.0 / 2.5, rel=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_single_vector_rejected(self):
         K = CorrelationMatrix(np.eye(5), "dense", 5)
-        solver = Solver(K, "dense")
+        solver = Solver(K)
         with pytest.raises(InputError):
             trace_inv_hutchinson(K, 1.0, solver, 1)
 
     def test_deterministic_given_seed(self):
         K = random_corr(60, seed=4)
-        solver = Solver(K, "dense")
+        solver = Solver(K)
         a = trace_inv_hutchinson(K, 0.5, solver, 10, seed=42)
         b = trace_inv_hutchinson(K, 0.5, solver, 10, seed=42)
         assert a == b
@@ -101,7 +106,8 @@ class TestHutchinson:
         assert K.storage == "sparse"
         if method == "dense":
             K = CorrelationMatrix(K.toarray(), "dense", K.n)
-        solver = Solver(K, method)
+        solver = Solver(K)
+        assert solver.method == method
         provider = HutchinsonTraceProvider(K, solver, 12, seed=5)
         for eta in (0.05, 1.0):
             ref1 = per_vector(K, eta, solver, 12, 5, 1)
@@ -115,9 +121,9 @@ class TestHutchinson:
         # statistical oracle: the exact trace should fall within three
         # standard errors in at least 95% of seeded trials
         K = random_corr(300, seed=5)
-        solver = Solver(K, "dense")
+        solver = Solver(K)
         eta = 1.0
-        exact = trace_inv_cholesky(K, eta)
+        exact = ExactTraceProvider(K)(eta)
         hits = 0
         for seed in range(100):
             est, stderr = trace_inv_hutchinson(K, eta, solver, 50, seed=seed)
@@ -129,23 +135,24 @@ class TestHutchinson:
 class TestTauInterpolant:
     def test_exact_at_origin_and_nodes(self):
         K = random_corr(80, seed=6)
-        interp = fit_tau_interpolant(K, (1.0, 10.0, 100.0), "eigen")
+        interp = fit_tau_interpolant(K, (1.0, 10.0, 100.0), ExactTraceProvider(K))
         assert eval_tau(interp, 0.0) == interp.tau0
         for node, tau in zip(interp.nodes, interp.tau_values):
             assert eval_tau(interp, node) == pytest.approx(tau, rel=1e-8)
 
     def test_weights_start_with_unit_coefficient(self):
         K = random_corr(40, seed=7)
-        interp = fit_tau_interpolant(K, (1.0, 30.0), "eigen")
+        interp = fit_tau_interpolant(K, (1.0, 30.0), ExactTraceProvider(K))
         assert interp.weights[0] == 1.0
         assert len(interp.weights) == 3
 
     def test_p_zero_is_upper_bound(self):
         # with no nodes the interpolant provably bounds tau from above
         K = random_corr(120, seed=8)
-        interp = fit_tau_interpolant(K, (), "eigen")
+        exact_traces = ExactTraceProvider(K)
+        interp = fit_tau_interpolant(K, (), exact_traces)
         for eta in np.logspace(-3, 4, 30):
-            exact = trace_inv_eigen(K, eta) / K.n
+            exact = exact_traces(eta) / K.n
             assert eval_tau(interp, eta) >= exact * (1.0 - 1e-12)
 
     def test_accuracy_against_exact_traces_within_node_span(self):
@@ -153,24 +160,27 @@ class TestTauInterpolant:
         # and the last node; below the first node only the exact tau0
         # anchor remains
         K = random_corr(200, seed=9, alpha=0.15)
+        exact_traces = ExactTraceProvider(K)
         interp = fit_tau_interpolant(K, (1.0, 10.0, 40.0, 100.0, 1000.0),
-                                     "eigen")
+                                     exact_traces)
         for eta in np.logspace(0, 3, 25):
-            exact = trace_inv_eigen(K, eta) / K.n
+            exact = exact_traces(eta) / K.n
             assert eval_tau(interp, eta) == pytest.approx(exact, rel=0.01)
 
     def test_tau_is_decreasing_over_node_range(self):
         K = random_corr(90, seed=10)
-        interp = fit_tau_interpolant(K, (1.0, 10.0, 100.0), "eigen")
+        interp = fit_tau_interpolant(K, (1.0, 10.0, 100.0), ExactTraceProvider(K))
         grid = np.logspace(0, 2, 60)
         vals = [eval_tau(interp, e) for e in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_large_eta_asymptote(self):
         K = random_corr(100, seed=11)
-        interp = fit_tau_interpolant(K, (1.0, 10.0, 100.0, 1000.0), "eigen")
+        exact_traces = ExactTraceProvider(K)
+        interp = fit_tau_interpolant(K, (1.0, 10.0, 100.0, 1000.0),
+                                     exact_traces)
         eta = 1e6
-        exact = trace_inv_eigen(K, eta)
+        exact = exact_traces(eta)
         assert K.n * eval_tau(interp, eta) == pytest.approx(K.n / eta,
                                                             rel=0.05)
         assert K.n * eval_tau(interp, eta) == pytest.approx(exact, rel=0.05)
@@ -178,40 +188,44 @@ class TestTauInterpolant:
     def test_too_many_nodes_rejected(self):
         K = random_corr(30, seed=12)
         with pytest.raises(InputError):
-            fit_tau_interpolant(K, tuple(float(i) for i in range(1, 11)))
+            fit_tau_interpolant(K, tuple(float(i) for i in range(1, 11)),
+                                ExactTraceProvider(K))
 
     def test_bad_nodes_rejected(self):
         K = random_corr(30, seed=12)
         with pytest.raises(InputError):
-            fit_tau_interpolant(K, (1.0, 1.0))
+            fit_tau_interpolant(K, (1.0, 1.0), ExactTraceProvider(K))
         with pytest.raises(InputError):
-            fit_tau_interpolant(K, (-1.0, 2.0))
+            fit_tau_interpolant(K, (-1.0, 2.0), ExactTraceProvider(K))
 
     def test_json_round_trip(self):
         K = random_corr(50, seed=13)
-        interp = fit_tau_interpolant(K, (1.0, 10.0, 100.0), "eigen", seed=3)
+        interp = fit_tau_interpolant(
+            K, (1.0, 10.0, 100.0),
+            HutchinsonTraceProvider(K, Solver(K), 20, seed=3))
         clone = TraceInterpolant.from_json(interp.to_json())
         assert clone == interp
 
     def test_hutchinson_backed_fit(self):
         K = random_corr(70, seed=14)
-        solver = Solver(K, "dense")
-        interp = fit_tau_interpolant(K, (1.0, 10.0), "hutchinson", solver,
-                                     n_vectors=30, seed=1)
+        solver = Solver(K)
+        interp = fit_tau_interpolant(
+            K, (1.0, 10.0), HutchinsonTraceProvider(K, solver, 30, seed=1))
+        exact_traces = ExactTraceProvider(K)
         for eta in (0.5, 5.0, 50.0):
-            exact = trace_inv_eigen(K, eta) / K.n
+            exact = exact_traces(eta) / K.n
             assert eval_tau(interp, eta) == pytest.approx(exact, rel=0.1)
 
     @settings(max_examples=25, deadline=None)
     @given(eta=st.floats(0.0, 1e6))
     def test_eval_tau_positive(self, eta):
         K = random_corr(30, seed=15)
-        interp = fit_tau_interpolant(K, (1.0, 10.0), "eigen")
+        interp = fit_tau_interpolant(K, (1.0, 10.0), ExactTraceProvider(K))
         assert eval_tau(interp, eta) > 0.0
 
     def test_nonfinite_eta_rejected(self):
         K = random_corr(20, seed=16)
-        interp = fit_tau_interpolant(K, (1.0,), "eigen")
+        interp = fit_tau_interpolant(K, (1.0,), ExactTraceProvider(K))
         with pytest.raises(InputError):
             eval_tau(interp, float("nan"))
         with pytest.raises(InputError):
