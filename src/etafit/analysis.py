@@ -17,7 +17,7 @@ import scipy.linalg as sla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .errors import InputError, ModelError, NumericError
+from .errors import InputError, ModelError, NumericError, SolverError
 from .kernels import CorrelationMatrix
 from .model import GpModel, sparse_lu
 
@@ -60,7 +60,9 @@ def spectrum_bounds(K, eigvals: np.ndarray | None = None) -> SpectrumSummary:
     Read off ``eigvals`` (ascending, such as a dense Solver's spectrum)
     when the spectrum is already known; otherwise one ``eigvalsh`` for
     dense K, or ``eigsh`` for sparse K (shift-invert around 0 through
-    ``model.sparse_lu`` for lambda_min).
+    ``model.sparse_lu`` for lambda_min).  An indefinite sparse K raises
+    SolverError, counted from the pivots of that factorization, before
+    either eigensolve.
     """
     if eigvals is not None:
         return SpectrumSummary(float(eigvals[0]), float(eigvals[-1]))
@@ -71,6 +73,15 @@ def spectrum_bounds(K, eigvals: np.ndarray | None = None) -> SpectrumSummary:
         # the bounds, and so every sparse estimate, reproducible
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])
         lu = sparse_lu(A)
+        # with diagonal pivots the negative pivots count the negative
+        # eigenvalues (Sylvester's law of inertia)
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise SolverError("symmetric factorization of K pivoted off the "
+                              "diagonal; its inertia is unknown")
+        negative = int(np.count_nonzero(lu.U.diagonal() < 0))
+        if negative:
+            raise SolverError(f"K is indefinite: {negative} negative "
+                              f"eigenvalue(s) (sparse LDL' inertia)")
         inverse = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
         try:
             lam_max = float(spla.eigsh(A, k=1, which="LA", tol=SPARSE_EIG_TOL,

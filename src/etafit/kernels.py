@@ -77,9 +77,6 @@ class CorrelationMatrix:
             return self.entries.toarray()
         return self.entries
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.entries @ v
-
 
 def _half_integer_order(nu: float) -> int | None:
     """Return p for nu = p + 1/2 when nu is (numerically) a half-integer."""

@@ -4,8 +4,10 @@ analytic first/second derivatives in the variance ratio eta.
 With Sigma = sigma^2 (K + eta I) the marginal likelihood over the data (with
 the regression coefficients integrated out) profiles in closed form over
 sigma^2; what remains is a univariate function of eta whose derivatives are
-built from M-actions and traces.  Derivative evaluations never touch the
-log-determinant, so they stay cheap on sparse paths.
+built from traces of K_eta^-p and the (m+1) x (m+1) Gram matrices
+G_p = R' K_eta^-p R of R = [X | z] (``Solver.grams``): every quadratic form
+and trace of M is m x m algebra on them.  Derivative evaluations never
+touch the log-determinant, so they stay cheap on sparse paths.
 """
 
 from __future__ import annotations
@@ -45,12 +47,6 @@ class LikelihoodEval:
     trace_m1_sq: float | None = None
 
 
-def _cdot(a: np.ndarray, b: np.ndarray) -> float:
-    """Compensated dot product; keeps the trace-minus-Rayleigh cancellation
-    in the eta derivative accurate near the root."""
-    return math.fsum(np.multiply(a, b).tolist())
-
-
 def trace_provider(solver: Solver, seed: int = 0):
     """The trace route of the solver's backend: exact traces from the
     eigenbasis spectrum on dense K, Hutchinson estimates with
@@ -61,17 +57,16 @@ def trace_provider(solver: Solver, seed: int = 0):
     return ExactTraceProvider(solver.K, solver.eigvals)
 
 
-def _pieces(model: GpModel, eta: float, solver: Solver) -> SimpleNamespace:
-    """Shared per-eta quantities in the solver's basis: z, Y = Kinv X, the
-    m x m factor of X' Kinv X, and w = M z.  Kinv [X | z] is one solve.
-
-    The basis is orthonormal, so inner products and traces computed from
-    these equal those of the standard basis.
+def _pieces(model: GpModel, eta: float, solver: Solver,
+            count: int) -> SimpleNamespace:
+    """Shared per-eta quantities, all m x m: the Gram matrices
+    G_p = R' K_eta^{-p} R of R = [X | z] for p <= count (``Solver.grams``),
+    the factor of B = X' K_eta^{-1} X, the GLS coefficients beta, and
+    v = [-beta; 1], so that M z = K_eta^{-1} R v and z' M z = G_1[m] v.
     """
-    z, X = solver.model_in_basis(model)
-    S = solver.solve_in_basis(eta, np.column_stack([X, z]))
-    Y, u = S[:, :-1], S[:, -1]
-    B = X.T @ Y
+    G = solver.grams(model, eta, count)
+    m = model.m
+    B = G[0][:m, :m]
     try:
         B_factor = sla.cho_factor(B, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -83,10 +78,13 @@ def _pieces(model: GpModel, eta: float, solver: Solver) -> SimpleNamespace:
     if ratio <= B.shape[0] * np.finfo(float).eps:
         raise ModelError(f"X' K_eta^{{-1}} X is singular at eta={eta} "
                          f"(Cholesky pivot ratio {ratio:.1e})")
-    w = u - Y @ sla.cho_solve(B_factor, Y.T @ z, check_finite=False)
+    # on the CG path G_1 = R'S is symmetric only to solver tolerance; taking
+    # b from row m makes z'Mz = G_1[m, m] - b' B^-1 b a Schur complement
+    beta = sla.cho_solve(B_factor, G[0][m, :m], check_finite=False)
+    v = np.append(-beta, 1.0)
     logdet_B = 2.0 * float(np.sum(np.log(np.diag(B_factor[0]))))
-    return SimpleNamespace(z=z, Y=Y, B_factor=B_factor, w=w,
-                           logdet_B=logdet_B)
+    return SimpleNamespace(G=G, B_factor=B_factor, beta=beta, v=v,
+                           z_m_z=float(G[0][m] @ v), logdet_B=logdet_B)
 
 
 def _require_nondegenerate(model: GpModel):
@@ -96,41 +94,22 @@ def _require_nondegenerate(model: GpModel):
             "variance is identically zero (use the trivial estimates)")
 
 
-def _trace_m1(pieces, eta: float, traces) -> float:
-    C = sla.cho_solve(pieces.B_factor, pieces.Y.T @ pieces.Y,
-                      check_finite=False)
-    return traces(eta, 1) - float(np.trace(C))
-
-
-def _second_order(eta: float, solver: Solver, pieces,
-                  traces) -> tuple[float, float]:
-    """(z' M^3 z, trace(M^2)); Kinv [w | Y] is one solve."""
-    Y, w = pieces.Y, pieces.w
-    S = solver.solve_in_basis(eta, np.column_stack([w, Y]))
-    t, V = S[:, 0], S[:, 1:]
-    mw = t - Y @ sla.cho_solve(pieces.B_factor, Y.T @ w, check_finite=False)
-    C = sla.cho_solve(pieces.B_factor, Y.T @ V, check_finite=False)
-    A = sla.cho_solve(pieces.B_factor, Y.T @ Y, check_finite=False)
-    trace_m1_sq = (traces(eta, 2) - 2.0 * float(np.trace(C))
-                   + float(np.trace(A @ A)))
-    return _cdot(w, mw), trace_m1_sq
-
-
 def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
               want_ell: bool, want_second: bool) -> LikelihoodEval:
     _require_nondegenerate(model)
     if traces is None:
         traces = trace_provider(solver)
     n, m = model.n, model.m
-    pieces = _pieces(model, eta, solver)
-
-    z_m_z = _cdot(pieces.z, pieces.w)
-    z_m2_z = _cdot(pieces.w, pieces.w)
-    s2 = z_m_z / (n - m)
+    p = _pieces(model, eta, solver, 3 if want_second else 2)
+    G2 = p.G[1]
+    z_m2_z = float(p.v @ G2 @ p.v)
+    s2 = p.z_m_z / (n - m)
     if s2 <= 0:
         raise ModelError(f"nonpositive profiled variance at eta={eta}")
 
-    t_m1 = _trace_m1(pieces, eta, traces)
+    # B^-1 X' K_eta^-2 X; trace(M) = trace(K_eta^-1) - trace(A)
+    A = sla.cho_solve(p.B_factor, G2[:m, :m], check_finite=False)
+    t_m1 = traces(eta, 1) - float(np.trace(A))
     d_ell = -0.5 * (t_m1 - z_m2_z / s2)
 
     ell = None
@@ -138,14 +117,21 @@ def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
         ell = (-0.5 * (n - m) * LOG_2PI
                - 0.5 * (n - m) * math.log(s2)
                - 0.5 * solver.logdet(eta)
-               - 0.5 * pieces.logdet_B
+               - 0.5 * p.logdet_B
                - 0.5 * (n - m))
 
     ev = LikelihoodEval(eta=eta, sigma2_hat=s2, ell=ell, d_ell=d_ell,
-                        z_m_z=z_m_z, z_m2_z=z_m2_z, trace_m1=t_m1)
+                        z_m_z=p.z_m_z, z_m2_z=z_m2_z, trace_m1=t_m1)
     if want_second:
-        ev.z_m3_z, ev.trace_m1_sq = _second_order(eta, solver, pieces,
-                                                  traces)
+        # M^2 z = K_eta^-2 R v - K_eta^-1 X B^-1 g with g = X' K_eta^-2 R v
+        G3 = p.G[2]
+        g = G2[:m] @ p.v
+        ev.z_m3_z = float(p.v @ G3 @ p.v
+                          - g @ sla.cho_solve(p.B_factor, g,
+                                              check_finite=False))
+        C = sla.cho_solve(p.B_factor, G3[:m, :m], check_finite=False)
+        ev.trace_m1_sq = (traces(eta, 2) - 2.0 * float(np.trace(C))
+                          + float(np.trace(A @ A)))
         ev.d2_ell = 0.5 * (ev.trace_m1_sq - 2.0 * ev.z_m3_z / s2
                            + z_m2_z ** 2 / ((n - m) * s2 * s2))
     return ev
@@ -154,8 +140,7 @@ def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
 def sigma2_hat(model: GpModel, eta: float, solver: Solver) -> float:
     """Profiled error variance z' M_{1,eta} z / (n - m); strictly positive."""
     _require_nondegenerate(model)
-    pieces = _pieces(model, eta, solver)
-    return _cdot(pieces.z, pieces.w) / (model.n - model.m)
+    return _pieces(model, eta, solver, 1).z_m_z / (model.n - model.m)
 
 
 def log_marginal_likelihood(model: GpModel, sigma2: float, eta: float,
@@ -169,13 +154,12 @@ def log_marginal_likelihood(model: GpModel, sigma2: float, eta: float,
     if not (np.isfinite(sigma2) and sigma2 > 0):
         raise InputError(f"sigma2 must be positive, got {sigma2}")
     n, m = model.n, model.m
-    pieces = _pieces(model, eta, solver)
-    z_m_z = _cdot(pieces.z, pieces.w)
+    p = _pieces(model, eta, solver, 1)
     return (-0.5 * (n - m) * LOG_2PI
             - 0.5 * (n - m) * math.log(sigma2)
             - 0.5 * solver.logdet(eta)
-            - 0.5 * pieces.logdet_B
-            - 0.5 * z_m_z / sigma2)
+            - 0.5 * p.logdet_B
+            - 0.5 * p.z_m_z / sigma2)
 
 
 def ell_infinite_eta(model: GpModel) -> tuple[float, float]:
@@ -187,7 +171,7 @@ def ell_infinite_eta(model: GpModel) -> tuple[float, float]:
     n, m = model.n, model.m
     coef, *_ = np.linalg.lstsq(model.X.entries, model.z, rcond=None)
     resid = model.z - model.X.entries @ coef
-    sigma02 = _cdot(resid, resid) / (n - m)
+    sigma02 = float(resid @ resid) / (n - m)
     if sigma02 <= 0:
         raise ModelError("degenerate model: zero residual variance")
     sign, logdet_xtx = np.linalg.slogdet(model.X.entries.T @ model.X.entries)

@@ -5,8 +5,9 @@ The storage of K picks the backend.  Dense K is diagonalized once, so each
 solve is a diagonal scaling.  Sparse K is solved by one block
 conjugate-gradient run per call, over all right-hand sides at once, and its
 log-determinants come from a symmetric-mode SuperLU factorization with a
-minimum-degree ordering.  The M-matrix algebra built on these solves lives
-in ``likelihood``.
+minimum-degree ordering.  ``Solver.grams`` hands the likelihood the Gram
+matrices [X | z]' K_eta^-p [X | z]; the M-matrix algebra built on them
+lives in ``likelihood``.
 """
 
 from __future__ import annotations
@@ -95,10 +96,10 @@ class Solver:
     ordering of K + K').  It has no spectrum (``eigvals`` is None) and
     applies no jitter.
 
-    Work in the *basis* of the solver (``model_in_basis``,
-    ``solve_in_basis``) is how the likelihood avoids n x n work per eta:
-    the eigenbasis on the dense path, the standard basis on the CG path.
-    A solver is bound to one correlation matrix.
+    ``grams`` gives the likelihood everything it needs from the solves as
+    (m+1) x (m+1) Gram matrices of [X | z], so no n x n work and no
+    n-length vector leaves the solver per eta.  A solver is bound to one
+    correlation matrix.
     """
 
     def __init__(self, K: CorrelationMatrix, *, tol: float = 1e-10,
@@ -126,39 +127,41 @@ class Solver:
         """"dense" (eigenbasis) or "cg", as set by the storage of K."""
         return "cg" if self._U is None else "dense"
 
-    # -- working basis -----------------------------------------------------
+    def grams(self, model: GpModel, eta: float, count: int) -> list:
+        """[G_1, ..., G_count] with G_p = R' K_eta^{-p} R, R = [X | z].
 
-    def model_in_basis(self, model: GpModel) -> tuple:
-        """(z, X) of ``model`` in the solver's basis: (U'z, U'X) on the
-        dense path, rotated once for the model the solver last served;
-        z and X themselves for CG."""
-        if self._U is None:
-            return model.z, model.X.entries
-        if self._rotated is None or self._rotated[0] is not model:
-            self._rotated = (model, self._U.T @ model.z,
-                             self._U.T @ model.X.entries)
-        return self._rotated[1], self._rotated[2]
-
-    def solve_in_basis(self, eta: float, B: np.ndarray) -> np.ndarray:
-        """K_eta^{-1} B with B and the result in the solver's basis."""
+        Dense: C = U'R is rotated once for the model the solver last
+        served, and G_p = C' diag((lam + eta)^-p) C.  CG: S = K_eta^{-1} R
+        is one block solve, G_1 = R'S and G_2 = S'S; G_3 = S' K_eta^{-1} S
+        costs one more block solve.
+        """
         _check_eta(eta)
         if self._U is None:
-            return self._solve_cg(eta, np.asarray(B, dtype=float))
+            R = np.column_stack([model.X.entries, model.z])
+            S = self.solve(eta, R)
+            grams = [R.T @ S, S.T @ S][:count]
+            if count > 2:
+                grams.append(S.T @ self.solve(eta, S))
+            return grams
+        if self._rotated is None or self._rotated[0] is not model:
+            # U'X and U'z apart: OpenBLAS runs U'[X | z] (7 columns at m=6) on
+            # two threads, whose spin-wait slowed kernel_opt's next kernel
+            # assembly and eigh by 40% on 2 cores
+            self._rotated = (model, np.column_stack(
+                [self._U.T @ model.X.entries, self._U.T @ model.z]))
+        C = self._rotated[1]
         d = 1.0 / (self.eigvals + eta)
-        return d * B if B.ndim == 1 else d[:, None] * B
-
-    def from_basis(self, V: np.ndarray) -> np.ndarray:
-        """V, given in the solver's basis, in the standard basis."""
-        return V if self._U is None else self._U @ V
-
-    # -- public API ----------------------------------------------------
+        return [C.T @ (d[:, None] ** p * C) for p in range(1, count + 1)]
 
     def solve(self, eta: float, B: np.ndarray) -> np.ndarray:
         """Return K_eta^{-1} B (to solver tolerance on the CG path)."""
+        _check_eta(eta)
         B = np.asarray(B, dtype=float)
-        if self._U is not None:
-            B = self._U.T @ B
-        return self.from_basis(self.solve_in_basis(eta, B))
+        if self._U is None:
+            return self._solve_cg(eta, B)
+        d = 1.0 / (self.eigvals + eta)
+        V = self._U.T @ B
+        return self._U @ (d * V if V.ndim == 1 else d[:, None] * V)
 
     def _solve_cg(self, eta: float, B: np.ndarray) -> np.ndarray:
         """One conjugate-gradient run over all columns of B: each iteration

@@ -7,7 +7,6 @@ these serve as independent references.
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from etafit import likelihood
 from etafit.design import BasisSpec, build_design
@@ -32,15 +31,15 @@ def dense_solver(model):
 
 
 def m_action(model, eta, solver):
-    """The implementation's own w = M_{1,eta} z, in the standard basis."""
-    return solver.from_basis(likelihood._pieces(model, eta, solver).w)
+    """w = M_{1,eta} z = K_eta^{-1} [X | z] v from the implementation's
+    own v = [-beta; 1]."""
+    v = likelihood._pieces(model, eta, solver, 1).v
+    return solver.solve(eta, np.column_stack([model.X.entries, model.z]) @ v)
 
 
 def gls_beta(model, eta, solver):
-    """GLS coefficients (X' Kinv X)^{-1} X' Kinv z from the implementation's
-    m x m factor; basis-independent."""
-    p = likelihood._pieces(model, eta, solver)
-    return sla.cho_solve(p.B_factor, p.Y.T @ p.z)
+    """The implementation's GLS coefficients (X' Kinv X)^{-1} X' Kinv z."""
+    return likelihood._pieces(model, eta, solver, 1).beta
 
 
 def dense_m1(model, eta):

@@ -17,7 +17,8 @@ from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
 from etafit.likelihood import (d2_ell_deta2, d_ell_deta, profile_ell,
                                sigma2_hat)
 from etafit.model import GpModel, Solver
-from etafit.traces import DEFAULT_HUTCHINSON_VECTORS, HutchinsonTraceProvider
+from etafit.traces import (DEFAULT_HUTCHINSON_VECTORS, ExactTraceProvider,
+                           HutchinsonTraceProvider)
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +64,21 @@ class TestSparseEstimation:
         cg = Solver(sparse_problem.K)
         dense = Solver(CorrelationMatrix(sparse_problem.K.toarray(), "dense",
                                          sparse_problem.K.n))
-        ev_cg = profile_ell(sparse_problem, 2.0, cg)
-        ev_dense = profile_ell(sparse_problem, 2.0, dense)
-        assert ev_cg.ell == pytest.approx(ev_dense.ell, rel=1e-8)
-        assert ev_cg.sigma2_hat == pytest.approx(ev_dense.sigma2_hat,
-                                                 rel=1e-8)
+        traces = ExactTraceProvider(sparse_problem.K)
+        n_m = sparse_problem.n - sparse_problem.m
+        for eta in (0.05, 2.0, 40.0):
+            ev_cg = profile_ell(sparse_problem, eta, cg, traces,
+                                second_order=True)
+            ev_dense = profile_ell(sparse_problem, eta, dense, traces,
+                                   second_order=True)
+            assert ev_cg.ell == pytest.approx(ev_dense.ell, rel=1e-8)
+            assert ev_cg.sigma2_hat == pytest.approx(ev_dense.sigma2_hat,
+                                                     rel=1e-8)
+            assert ev_cg.d_ell == pytest.approx(ev_dense.d_ell, rel=0,
+                                                abs=1e-8 * n_m)
+            for field in ("z_m3_z", "trace_m1_sq", "d2_ell"):
+                assert getattr(ev_cg, field) == pytest.approx(
+                    getattr(ev_dense, field), rel=1e-8), field
 
     def test_default_traces_on_cg_path_never_densify(self, sparse_problem,
                                                      monkeypatch):
@@ -178,6 +189,13 @@ class TestSolverErrors:
             sigma2_hat(model, 0.5, Solver(K))
 
 
+def indefinite_grid_K(n, alpha):
+    """exp:alpha tapered at 0.05 on the n-point grid: indefinite K."""
+    points = generate_synthetic(n, 0.2, seed=23).points
+    return correlation_matrix(points, CorrelationKernel(
+        "exponential", alpha, taper_threshold=0.05))
+
+
 class TestTaperedSpectrum:
     def test_lambda_min_matches_dense_eigensolve(self):
         g = (np.arange(40) + 0.5) / 40
@@ -189,6 +207,21 @@ class TestTaperedSpectrum:
         lam_min = np.linalg.eigvalsh(K.toarray())[0]
         assert spectrum_bounds(K).lambda_min == pytest.approx(lam_min,
                                                               rel=1e-8)
+
+    @pytest.mark.parametrize("n,alpha,negative", [(1600, 0.05, 4),
+                                                  (4096, 0.04, 165)])
+    def test_indefinite_taper_raises_with_inertia(self, n, alpha, negative):
+        # the counts equal those of a dense eigvalsh of the same K
+        K = indefinite_grid_K(n, alpha)
+        with pytest.raises(SolverError, match=f"{negative} negative"):
+            spectrum_bounds(K)
+
+    def test_indefinite_taper_estimate_raises_solver_error(self):
+        ds = generate_synthetic(4096, 0.2, seed=23)
+        X = build_design(ds.points, BasisSpec("polynomial", 2))
+        model = GpModel(ds.z, X, indefinite_grid_K(4096, 0.04), ds.points)
+        with pytest.raises(SolverError, match="indefinite"):
+            estimate_variances(model)
 
     def test_tapered_eigenvalues_above_negative_jitter(self):
         # the taper can break exact positive-definiteness, but on this
