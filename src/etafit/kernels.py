@@ -5,6 +5,11 @@ Three isotropic families are supported: exponential decay
 Gaussian kernel ``exp(-r^2 / (2 alpha^2))``.  All kernels equal 1 at zero
 distance.  An optional taper zeroes every value at or below a threshold
 ``kappa``, which makes the correlation matrix sparse for small ``alpha``.
+
+Dense assembly evaluates the kernel on one triangle (the condensed
+``pdist`` vector) and mirrors it, so symmetry is exact.  The general
+Matern branch calls the Bessel function once per distinct distance, which
+on a grid is a few hundred calls instead of one per pair.
 """
 
 from __future__ import annotations
@@ -98,15 +103,20 @@ def _matern_half_integer(p: int, x: np.ndarray) -> np.ndarray:
 
 
 def _matern_general(nu: float, x: np.ndarray) -> np.ndarray:
-    """General-order Matern profile 2^(1-nu)/Gamma(nu) x^nu K_nu(x)."""
+    """General-order Matern profile 2^(1-nu)/Gamma(nu) x^nu K_nu(x).
+
+    The profile is evaluated once per distinct scaled distance and
+    scattered back, since each Bessel call is costly and grids repeat
+    distances many times.
+    """
     out = np.ones_like(x)
     live = x > _TINY_SCALED_DISTANCE
-    xl = x[live]
+    xl, inverse = np.unique(x[live], return_inverse=True)
     log_pref = (1.0 - nu) * math.log(2.0) - gammaln(nu)
     val = np.exp(log_pref + nu * np.log(xl)) * kv(nu, xl)
     # kv underflows to 0 for large x: the true value is ~0 there.
     val = np.where(np.isfinite(val), val, 0.0)
-    out[live] = val
+    out[live] = val[inverse]
     return out
 
 
@@ -118,9 +128,11 @@ def kernel_profile(kernel: CorrelationKernel, distances: np.ndarray) -> np.ndarr
     if np.any(d < 0):
         raise InputError("distances must be nonnegative")
 
-    r = d / kernel.alpha
+    # at least 1-d, so that every branch yields a fresh ndarray that can be
+    # updated in place; a scalar distance still gets a 0-d result
+    r = np.atleast_1d(d / kernel.alpha)
     if kernel.family == "exponential":
-        values = np.exp(-r)
+        values = np.exp(np.negative(r, out=r), out=r)
     elif kernel.family == "gaussian":
         values = np.exp(-0.5 * r * r)
     else:
@@ -134,12 +146,12 @@ def kernel_profile(kernel: CorrelationKernel, distances: np.ndarray) -> np.ndarr
                 values = _matern_half_integer(p, x)
             else:
                 values = _matern_general(nu, x)
-    values = np.clip(values, 0.0, 1.0)
+    values = np.clip(values, 0.0, 1.0, out=values)
 
     kappa = kernel.taper_threshold
     if kappa > 0.0:
         values = np.where(values <= kappa, 0.0, values)
-    return values
+    return values.reshape(d.shape)
 
 
 def kernel_value(kernel: CorrelationKernel, distance: float) -> float:
@@ -211,10 +223,9 @@ def correlation_matrix(points: np.ndarray,
         return CorrelationMatrix(entries, "sparse", n, has_duplicates,
                                  {"nnz_density": density})
 
-    dist = squareform(pdist(pts)) if n > 1 else np.zeros((1, 1))
-    entries = kernel_profile(kernel, dist)
+    # one triangle: the condensed pair distances (empty for n = 1)
+    dist = pdist(pts)
+    entries = squareform(kernel_profile(kernel, dist), checks=False)
     np.fill_diagonal(entries, 1.0)
-    # symmetrize index-wise: pdist/squareform is already exactly symmetric,
-    # but duplicate detection needs the off-diagonal zeros of dist
-    off_diag_zero = (dist == 0.0).sum() > n
-    return CorrelationMatrix(entries, "dense", n, bool(off_diag_zero))
+    has_duplicates = bool(np.any(dist == 0.0))
+    return CorrelationMatrix(entries, "dense", n, has_duplicates)

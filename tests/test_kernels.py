@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial.distance import pdist, squareform
+from scipy.special import gammaln, kv
+
+import etafit.kernels
 from etafit.errors import InputError
-from etafit.kernels import (CorrelationKernel, correlation_matrix,
-                            kernel_profile, kernel_value, taper_radius)
+from etafit.kernels import (CorrelationKernel, _matern_general,
+                            correlation_matrix, kernel_profile, kernel_value,
+                            taper_radius)
 
 
 def grid_points(s):
@@ -164,13 +169,17 @@ class TestCorrelationMatrix:
         assert 3e-4 < density < 1.5e-3
 
     def test_sparse_matches_dense_assembly(self):
-        kernel = CorrelationKernel("exponential", 0.05, taper_threshold=0.1)
         pts = grid_points(12)
-        K_sparse = correlation_matrix(pts, kernel)
-        plain = CorrelationKernel("exponential", 0.05)
-        K_dense = correlation_matrix(pts, plain).toarray()
-        K_dense[K_dense <= 0.1] = 0.0
-        np.testing.assert_allclose(K_sparse.toarray(), K_dense, atol=1e-12)
+        # nu = 1.3 takes the KD-tree path through the Bessel branch
+        for family, nu in [("exponential", 0.5), ("matern", 1.3)]:
+            kernel = CorrelationKernel(family, 0.05, nu=nu,
+                                       taper_threshold=0.1)
+            K_sparse = correlation_matrix(pts, kernel)
+            plain = CorrelationKernel(family, 0.05, nu=nu)
+            K_dense = correlation_matrix(pts, plain).toarray()
+            K_dense[K_dense <= 0.1] = 0.0
+            np.testing.assert_allclose(K_sparse.toarray(), K_dense,
+                                       atol=1e-12)
 
     def test_duplicate_points_flagged(self):
         pts = np.array([[0.1, 0.1], [0.1, 0.1], [0.5, 0.5]])
@@ -202,3 +211,80 @@ class TestCorrelationMatrix:
         with pytest.raises(InputError):
             correlation_matrix(np.array([[0.0, np.nan]]),
                                CorrelationKernel("exponential", 0.1))
+
+
+def _full_matrix_assembly(pts, kernel):
+    """Reference dense assembly: the profile over the full n x n distances."""
+    n = len(pts)
+    dist = squareform(pdist(pts)) if n > 1 else np.zeros((1, 1))
+    K = kernel_profile(kernel, dist)
+    np.fill_diagonal(K, 1.0)
+    return K, bool((dist == 0.0).sum() > n)
+
+
+_RNG = np.random.default_rng(11)
+POINT_SETS = {
+    "grid": grid_points(9),
+    "uniform": _RNG.uniform(size=(60, 2)),
+    "3d": _RNG.uniform(size=(40, 3)),
+    "duplicates": np.vstack([grid_points(4), grid_points(4)[:5]]),
+    "n1": np.array([[0.3, 0.4]]),
+    "n2": np.array([[0.3, 0.4], [0.6, 0.0]]),
+}
+
+BITWISE_KERNELS = [
+    CorrelationKernel("exponential", 0.2),
+    CorrelationKernel("gaussian", 0.2),
+    CorrelationKernel("matern", 0.2, nu=0.5),
+    CorrelationKernel("matern", 0.2, nu=1.5),
+    CorrelationKernel("matern", 0.2, nu=2.5),
+    CorrelationKernel("matern", 0.2, nu=0.7),
+    CorrelationKernel("matern", 0.2, nu=1.3),
+    CorrelationKernel("matern", 0.2, nu=1.5363),
+    CorrelationKernel("matern", 0.2, nu=30.0),
+]
+
+
+class TestOneTriangleAssembly:
+    @pytest.mark.parametrize("name", sorted(POINT_SETS))
+    @pytest.mark.parametrize("kernel", BITWISE_KERNELS,
+                             ids=lambda k: f"{k.family}-{k.nu}")
+    def test_bitwise_equal_to_full_matrix_assembly(self, kernel, name):
+        pts = POINT_SETS[name]
+        expected, duplicates = _full_matrix_assembly(pts, kernel)
+        K = correlation_matrix(pts, kernel)
+        assert K.storage == "dense" and K.n == len(pts)
+        assert np.array_equal(K.toarray(), expected)
+        assert K.has_duplicates == duplicates
+        assert K.has_duplicates == (name == "duplicates")
+
+    @pytest.mark.parametrize("kernel", BITWISE_KERNELS,
+                             ids=lambda k: f"{k.family}-{k.nu}")
+    def test_scalar_distance_gives_0d_result(self, kernel):
+        # the in-place branches must not trip over a 0-d input
+        value = kernel_profile(kernel, 0.05)
+        assert np.shape(value) == ()
+        assert float(value) == kernel_value(kernel, 0.05)
+
+    @pytest.mark.parametrize("nu", [0.7, 1.3, 1.5363, 24.9])
+    def test_deduplicated_bessel_branch_is_bitwise_elementwise(self, nu):
+        # the per-element formula, evaluated on every entry with repeats
+        x = math.sqrt(2.0 * nu) * squareform(pdist(grid_points(9))) / 0.2
+        expected = np.ones_like(x)
+        live = x > 1e-10
+        val = (np.exp((1.0 - nu) * math.log(2.0) - gammaln(nu)
+                      + nu * np.log(x[live])) * kv(nu, x[live]))
+        expected[live] = np.where(np.isfinite(val), val, 0.0)
+        assert np.array_equal(_matern_general(nu, x), expected)
+
+    def test_bessel_called_once_per_distinct_distance(self, monkeypatch):
+        pts = grid_points(20)
+        arguments = []
+
+        def counting_kv(nu, x):
+            arguments.append(np.size(x))
+            return kv(nu, x)
+
+        monkeypatch.setattr(etafit.kernels, "kv", counting_kv)
+        correlation_matrix(pts, CorrelationKernel("matern", 0.1, nu=1.3))
+        assert 0 < sum(arguments) <= np.unique(pdist(pts)).size
