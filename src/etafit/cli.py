@@ -1,5 +1,5 @@
 """Command-line front end: dataset generation, estimation runs, table and
-figure-data reproduction, benchmarks, and trace-interpolant persistence.
+figure-data reproduction, benchmarks, and trace-interpolant inspection.
 
 Exit codes: 0 success, 2 input error, 3 numeric failure.
 """
@@ -107,11 +107,16 @@ def load_tabulated_design(path, n: int):
     return DesignMatrix(entries, m)
 
 
-def build_model(dataset, basis, kernel: CorrelationKernel) -> GpModel:
+def dataset_design(dataset, basis):
+    """The design matrix of a parsed ``--basis``: a basis family evaluated
+    at the points, or a tabulated file."""
     if isinstance(basis, BasisSpec):
-        X = build_design(dataset.points, basis)
-    else:
-        X = load_tabulated_design(basis, dataset.n)
+        return build_design(dataset.points, basis)
+    return load_tabulated_design(basis, dataset.n)
+
+
+def build_model(dataset, basis, kernel: CorrelationKernel) -> GpModel:
+    X = dataset_design(dataset, basis)
     K = correlation_matrix(dataset.points, kernel)
     return GpModel(dataset.z, X, K, dataset.points)
 
@@ -122,17 +127,8 @@ def make_config(args) -> EstimateConfig:
         config.eta_tol = args.eta_tol
     if getattr(args, "thresholds", None) is not None:
         config.c_threshold, config.C_threshold = parse_pair(args.thresholds)
-    if getattr(args, "nodes", None) is not None:
-        config.trace_nodes = tuple(float(v) for v in args.nodes.split(","))
     if getattr(args, "exact_traces", False):
         config.exact_traces = True
-    if getattr(args, "trace_interp", None) is not None:
-        from .traces import TraceInterpolant
-        path = Path(args.trace_interp)
-        if not path.exists():
-            raise InputError(f"trace interpolant file {path} does not exist")
-        config.trace_interpolant = TraceInterpolant.from_json(
-            path.read_text())
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     return config
@@ -164,7 +160,7 @@ def cmd_estimate(args) -> int:
         family = KERNEL_ALIASES.get(args.optimize_kernel.lower())
         if family is None:
             raise InputError(f"unknown kernel family {args.optimize_kernel!r}")
-        X = build_design(dataset.points, basis)
+        X = dataset_design(dataset, basis)
         points = dataset.points
 
         def builder(alpha, nu):
@@ -354,13 +350,9 @@ def _add_estimation_flags(p):
                    help="root tolerance in log10(eta)")
     p.add_argument("--thresholds", default=None, metavar="c,C",
                    help="interior classification thresholds")
-    p.add_argument("--nodes", default=None,
-                   help="trace interpolation nodes, comma separated")
     p.add_argument("--exact-traces", action="store_true",
                    help="disable trace interpolation on sparse K "
                         "(validation runs)")
-    p.add_argument("--trace-interp", default=None, metavar="JSON",
-                   help="reuse a trace interpolant fitted by trace-interp")
     p.add_argument("--seed", type=int, default=None)
 
 

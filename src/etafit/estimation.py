@@ -271,8 +271,8 @@ class EstimateConfig:
 
     The trace fields apply to sparse K only, where the traces are
     Hutchinson estimates and, unless ``exact_traces`` is set, an
-    interpolant fitted from them; the dense eigenbasis backend always uses
-    exact traces.
+    interpolant fitted from them at ``traces.DEFAULT_NODES`` in the same
+    run; the dense eigenbasis backend always uses exact traces.
     """
 
     c_threshold: float = 1e-4
@@ -280,8 +280,6 @@ class EstimateConfig:
     eta_tol: float = 1e-6           # bracket tolerance in log10(eta)
     f_tol_scale: float = 1e-8       # derivative tolerance = scale * (n - m)
     exact_traces: bool = False      # skip the interpolant (validation runs)
-    trace_nodes: tuple = DEFAULT_NODES
-    trace_interpolant: object = None  # pre-fitted TraceInterpolant to reuse
     seed: int = 0                   # Hutchinson probe seed
 
 
@@ -386,18 +384,12 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     roots2 = analysis.asymptote_roots(coeffs, 2)
     interval = analysis.search_interval(spectrum, roots1 + roots2)
 
-    if (config.trace_interpolant is not None
-            and config.trace_interpolant.n != n):
-        raise InputError(
-            f"trace interpolant was fitted for n={config.trace_interpolant.n}"
-            f" but the model has n={n}")
     backend_traces = likelihood.trace_provider(solver, config.seed)
     interp = None
     if solver.eigvals is not None or config.exact_traces:
         traces = backend_traces
     else:
-        interp = config.trace_interpolant or fit_tau_interpolant(
-            model.K, config.trace_nodes, backend_traces)
+        interp = fit_tau_interpolant(model.K, DEFAULT_NODES, backend_traces)
         traces = InterpolantTraceProvider(interp, backend_traces)
     t_precompute = time.perf_counter() - started
 
@@ -456,8 +448,9 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
         ev = eval_profile(eta_root)
         counters["deriv"] += 1
         try:
-            d2 = likelihood.d2_ell_deta2(model, eta_root, solver,
-                                         backend_traces)
+            # d2 reads only the power-2 trace, which the interpolant
+            # provider takes from the backend's own route
+            d2 = likelihood.d2_ell_deta2(model, eta_root, solver, traces)
         except NumericError as exc:
             warnings_out.append(
                 f"second-derivative check failed at eta={eta_root:.6g}: {exc}")
@@ -601,8 +594,7 @@ NU_BOUNDS = (1e-2, 25.0)
 
 def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
                      tol: float = 1e-4, max_evals: int = 500,
-                     config: EstimateConfig | None = None,
-                     nu_bounds=NU_BOUNDS) -> EstimationReport:
+                     config: EstimateConfig | None = None) -> EstimationReport:
     """Maximize the profiled log posterior over (alpha, nu).
 
     Every objective evaluation runs the full profiled variance estimation
@@ -620,7 +612,7 @@ def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
 
     def objective(u):
         alpha, nu = 10.0 ** u[0], 10.0 ** u[1]
-        if not nu_bounds[0] <= nu <= nu_bounds[1]:
+        if not NU_BOUNDS[0] <= nu <= NU_BOUNDS[1]:
             return math.inf
         lp = priors.log_pdf(alpha, nu)
         if not np.isfinite(lp):

@@ -45,14 +45,12 @@ def spectral_jitter(lambda_min: float, n: int) -> float:
 class HyperParams:
     """Variance hyperparameters (sigma2, sigma02, eta) with sigma02 = eta*sigma2.
 
-    ``eta`` may be +inf (noise-dominated limit, sigma2 = 0).  ``source``
-    records whether the values were estimated or user-fixed.
+    ``eta`` may be +inf (noise-dominated limit, sigma2 = 0).
     """
 
     sigma2: float
     sigma02: float
     eta: float
-    source: str = "estimated"
 
     def __post_init__(self):
         if self.sigma2 < 0 or self.sigma02 < 0:
@@ -63,11 +61,10 @@ class HyperParams:
                 raise InputError("sigma02 must equal eta * sigma2")
 
     @classmethod
-    def from_sigma2_eta(cls, sigma2: float, eta: float,
-                        source: str = "estimated") -> "HyperParams":
+    def from_sigma2_eta(cls, sigma2: float, eta: float) -> "HyperParams":
         if math.isinf(eta):
-            return cls(0.0, sigma2, eta, source)
-        return cls(sigma2, eta * sigma2, eta, source)
+            return cls(0.0, sigma2, eta)
+        return cls(sigma2, eta * sigma2, eta)
 
     @property
     def sigma(self) -> float:
@@ -111,7 +108,6 @@ class Solver:
         self.eigvals = None
         self._U = None
         self._rotated = None
-        self._logdets: dict[float, float] = {}
         if K.storage == "dense":
             try:
                 lam, self._U = sla.eigh(K.toarray(), driver="evd",
@@ -215,16 +211,12 @@ class Solver:
         _check_eta(eta)
         if self.eigvals is not None:
             return float(np.sum(np.log(self.eigvals + eta)))
-        if eta in self._logdets:
-            return self._logdets[eta]
         lu = sparse_lu(self.K.entries, eta)
         pivots = lu.U.diagonal()
         if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0)):
             raise SolverError(
                 f"K + {eta} I is not positive definite (sparse logdet)")
-        val = float(np.sum(np.log(pivots)))
-        self._logdets[eta] = val
-        return val
+        return float(np.sum(np.log(pivots)))
 
 
 def _check_eta(eta: float) -> None:

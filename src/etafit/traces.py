@@ -94,13 +94,6 @@ class TraceInterpolant:
             "cond": self.cond,
         }, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "TraceInterpolant":
-        d = json.loads(text)
-        return cls(tuple(d["nodes"]), d["tau0"], tuple(d["tau_values"]),
-                   tuple(d["weights"]), d["n"], d["method"], d.get("seed"),
-                   d.get("cond", 1.0))
-
 
 def fit_tau_interpolant(K, nodes, traces) -> TraceInterpolant:
     """Compute tau at eta=0 and the nodes from the provider ``traces``

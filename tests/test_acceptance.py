@@ -28,8 +28,9 @@ from etafit.estimation import (EstimateConfig, chandrupatla_root,
                                profile_optimize, uniform_priors)
 from etafit.kernels import CorrelationKernel, correlation_matrix
 from etafit.model import GpModel, Solver
-from etafit.traces import (ExactTraceProvider, InterpolantTraceProvider,
-                           eval_tau, fit_tau_interpolant)
+from etafit.traces import (DEFAULT_NODES, ExactTraceProvider,
+                           InterpolantTraceProvider, eval_tau,
+                           fit_tau_interpolant)
 
 # Noise seeds for the regenerated datasets (documented reference runs).
 REFERENCE_SEED = 23
@@ -172,11 +173,10 @@ def test_criterion_4_profiled_vs_direct_efficiency(kernel_opt_problem):
 def test_criterion_5_root_finder_convergence(reference):
     model = reference["model"]
     report = reference["report"]
-    config = EstimateConfig()
     brackets = report.diagnostics["brackets"]
     iter_counts = [b["iterations"] for b in brackets]
 
-    interp = fit_tau_interpolant(model.K, config.trace_nodes,
+    interp = fit_tau_interpolant(model.K, DEFAULT_NODES,
                                  ExactTraceProvider(model.K))
     traces = InterpolantTraceProvider(interp)
     solver = Solver(model.K)

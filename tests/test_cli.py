@@ -164,6 +164,29 @@ class TestEstimateCommand:
         assert report["nu_hat"] is not None
         assert "log_posterior" in report["diagnostics"]
 
+    def test_kernel_optimization_with_tabulated_design(self, tmp_path):
+        # --basis file:X.csv reaches the kernel search as a design matrix,
+        # the same one that poly:2 builds, so both runs find one optimum
+        small = tmp_path / "opt.csv"
+        save_dataset(generate_synthetic(64, 0.2, seed=2), small)
+        ds = load_dataset(small)
+        design_path = tmp_path / "design.csv"
+        np.savetxt(design_path,
+                   build_design(ds.points, BasisSpec("polynomial", 2)).entries,
+                   delimiter=",")
+        reports = []
+        for basis in (f"file:{design_path}", "poly:2"):
+            out = tmp_path / "opt.json"
+            assert main(["estimate", "--data", str(small), "--basis", basis,
+                         "--optimize-kernel", "matern", "--priors",
+                         "inverse-square", "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        tab, ref = reports
+        assert tab["alpha_hat"] == pytest.approx(ref["alpha_hat"], rel=1e-9)
+        assert tab["nu_hat"] == pytest.approx(ref["nu_hat"], rel=1e-9)
+        assert tab["hyperparams"]["sigma2"] == pytest.approx(
+            ref["hyperparams"]["sigma2"], rel=1e-9)
+
 
 class TestTable1Command:
     def test_emits_all_basis_rows(self, data_csv, tmp_path):
@@ -270,31 +293,3 @@ class TestTraceInterpCommand:
             assert key in payload
         assert payload["weights"][0] == 1.0
         assert "rel_err" in capsys.readouterr().out
-
-    def test_reuse_across_invocations(self, data_csv, tmp_path):
-        # tapered (sparse) K: the dense backend has exact traces and never
-        # reads an interpolant
-        kernel = ["--kernel", "exp:0.1:taper=0.05"]
-        interp = tmp_path / "interp.json"
-        main(["trace-interp", "--data", str(data_csv), *kernel,
-              "--out", str(interp)])
-        reused = tmp_path / "reused.json"
-        fresh = tmp_path / "fresh.json"
-        assert main(["estimate", "--data", str(data_csv), *kernel,
-                     "--trace-interp", str(interp), "--out",
-                     str(reused)]) == 0
-        assert main(["estimate", "--data", str(data_csv), *kernel,
-                     "--out", str(fresh)]) == 0
-        a = json.loads(reused.read_text())
-        b = json.loads(fresh.read_text())
-        assert a["diagnostics"]["trace"]["interpolated"]
-        assert a["hyperparams"] == b["hyperparams"]
-
-    def test_mismatched_interpolant_rejected(self, data_csv, tmp_path):
-        other = tmp_path / "other.csv"
-        save_dataset(generate_synthetic(25, 0.2, seed=1), other)
-        interp = tmp_path / "interp.json"
-        main(["trace-interp", "--data", str(other), "--out", str(interp)])
-        rc = main(["estimate", "--data", str(data_csv), "--trace-interp",
-                   str(interp)])
-        assert rc == 2

@@ -214,7 +214,7 @@ class TestEstimateVariances:
         # on sparse K the default run roots the derivative built on
         # interpolated traces; refitting the same interpolant reproduces
         # that zero
-        from etafit.traces import (InterpolantTraceProvider,
+        from etafit.traces import (DEFAULT_NODES, InterpolantTraceProvider,
                                    fit_tau_interpolant)
         model = grid_model(n_side=SPARSE_SIDE, seed=3, alpha=SPARSE_ALPHA,
                            taper=SPARSE_TAPER)
@@ -225,13 +225,39 @@ class TestEstimateVariances:
         assert report.diagnostics["trace"]["interpolated"]
         solver = Solver(model.K)
         interp = fit_tau_interpolant(
-            model.K, config.trace_nodes,
+            model.K, DEFAULT_NODES,
             likelihood.trace_provider(solver, config.seed))
         traces = InterpolantTraceProvider(interp)
         f_tol = config.f_tol_scale * (model.n - model.m)
         d_at_root = likelihood.d_ell_deta(model, report.hyperparams.eta,
                                           solver, traces)
         assert abs(d_at_root) <= f_tol
+
+    def test_second_derivative_check_solves_no_power_one_probes(
+            self, monkeypatch):
+        # d2 at a root reads only the power-2 trace, so the power-1
+        # Hutchinson estimates are the interpolant's: eta = 0 and each node
+        import etafit.traces
+        from etafit.traces import DEFAULT_NODES
+        model = grid_model(n_side=SPARSE_SIDE, seed=3, alpha=SPARSE_ALPHA,
+                           taper=SPARSE_TAPER)
+        calls = []
+        real = etafit.traces.trace_inv_hutchinson
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(etafit.traces, "trace_inv_hutchinson", counting)
+        config = EstimateConfig()
+        report = estimate_variances(model, config=config)
+        brackets = report.diagnostics["brackets"]
+        assert len(brackets) == 1
+        assert len(calls) == len(DEFAULT_NODES) + 1
+        solver = Solver(model.K)
+        eta = 10.0 ** brackets[0]["log10_eta"]
+        assert brackets[0]["d2_ell"] == likelihood.d2_ell_deta2(
+            model, eta, solver, likelihood.trace_provider(solver, config.seed))
 
     def test_dense_default_is_the_exact_root(self):
         # the dense backend's traces are exact, so the default run and the

@@ -8,7 +8,7 @@ from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
 from etafit.model import Solver
 from etafit.traces import (ExactTraceProvider, HutchinsonTraceProvider,
-                           TraceInterpolant, eval_tau, fit_tau_interpolant,
+                           eval_tau, fit_tau_interpolant,
                            trace_inv_hutchinson)
 
 
@@ -197,14 +197,6 @@ class TestTauInterpolant:
             fit_tau_interpolant(K, (1.0, 1.0), ExactTraceProvider(K))
         with pytest.raises(InputError):
             fit_tau_interpolant(K, (-1.0, 2.0), ExactTraceProvider(K))
-
-    def test_json_round_trip(self):
-        K = random_corr(50, seed=13)
-        interp = fit_tau_interpolant(
-            K, (1.0, 10.0, 100.0),
-            HutchinsonTraceProvider(K, Solver(K), 20, seed=3))
-        clone = TraceInterpolant.from_json(interp.to_json())
-        assert clone == interp
 
     def test_hutchinson_backed_fit(self):
         K = random_corr(70, seed=14)
