@@ -187,6 +187,43 @@ class TestEstimateCommand:
         assert tab["hyperparams"]["sigma2"] == pytest.approx(
             ref["hyperparams"]["sigma2"], rel=1e-9)
 
+    def test_sparse_estimate_fits_its_own_interpolant(self, data_csv,
+                                                      tmp_path):
+        # tapered (sparse) K: each run fits its interpolant at
+        # traces.DEFAULT_NODES, so two invocations and the library default
+        # give the same hyperparameters
+        argv = ["estimate", "--data", str(data_csv), "--kernel",
+                "exp:0.1:taper=0.05"]
+        reports = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main([*argv, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert all(r["diagnostics"]["trace"]["interpolated"]
+                   for r in reports)
+        assert reports[0]["hyperparams"] == reports[1]["hyperparams"]
+        ds = load_dataset(data_csv)
+        model = GpModel(
+            ds.z, build_design(ds.points, BasisSpec("polynomial", 2)),
+            correlation_matrix(ds.points, CorrelationKernel(
+                "exponential", 0.1, taper_threshold=0.05)), ds.points)
+        library = json.loads(estimate_variances(model).to_json())
+        assert reports[0]["hyperparams"] == library["hyperparams"]
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--data", "unused.csv"],
+        ["table1", "--out", "unused.csv"],
+        ["benchmark", "--out", "unused.csv"],
+    ], ids=["estimate", "table1", "benchmark"])
+    def test_interpolant_options_are_rejected(self, command, capsys):
+        # a script that still passes a pre-fitted interpolant or nodes
+        # stops at parsing instead of running with traces it did not ask for
+        for flag in ("--trace-interp", "--nodes"):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, flag, "interp.json"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestTable1Command:
     def test_emits_all_basis_rows(self, data_csv, tmp_path):
