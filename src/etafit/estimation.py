@@ -524,7 +524,8 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
         "counts": {"ell_evals": counters["ell"],
                    "deriv_evals": counters["deriv"],
                    "root_iters": n_root_iters,
-                   "polish_iters": polish_iters},
+                   "polish_iters": polish_iters,
+                   "lanczos_steps": solver.lanczos_steps},
         "jitter": solver.jitter,
         "timing": {"precompute": t_precompute,
                    "root_find": total - t_precompute, "total": total},

@@ -31,19 +31,20 @@ LOG_2PI = math.log(2.0 * math.pi)
 class LikelihoodEval:
     """Profiled likelihood value and derivatives at one eta.
 
-    ``ell`` and the second-order fields are None when not requested.
-    Traces may be interpolated surrogates depending on the provider.
+    ``ell``, the first-order fields and the second-order fields are None
+    when not requested.  Traces may be interpolated surrogates depending on
+    the provider.
     """
 
     eta: float
     sigma2_hat: float
     ell: float | None
-    d_ell: float
+    d_ell: float | None
     d2_ell: float | None = None
     z_m_z: float = 0.0
     z_m2_z: float = 0.0
     z_m3_z: float | None = None
-    trace_m1: float = 0.0
+    trace_m1: float | None = None
     trace_m1_sq: float | None = None
 
 
@@ -95,7 +96,8 @@ def _require_nondegenerate(model: GpModel):
 
 
 def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
-              want_ell: bool, want_second: bool) -> LikelihoodEval:
+              want_ell: bool, want_first: bool,
+              want_second: bool) -> LikelihoodEval:
     _require_nondegenerate(model)
     if traces is None:
         traces = trace_provider(solver)
@@ -109,8 +111,10 @@ def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
 
     # B^-1 X' K_eta^-2 X; trace(M) = trace(K_eta^-1) - trace(A)
     A = sla.cho_solve(p.B_factor, G2[:m, :m], check_finite=False)
-    t_m1 = traces(eta, 1) - float(np.trace(A))
-    d_ell = -0.5 * (t_m1 - z_m2_z / s2)
+    t_m1 = d_ell = None
+    if want_first:
+        t_m1 = traces(eta, 1) - float(np.trace(A))
+        d_ell = -0.5 * (t_m1 - z_m2_z / s2)
 
     ell = None
     if want_ell:
@@ -194,25 +198,26 @@ def profile_ell(model: GpModel, eta: float, solver: Solver,
     for a CG solver.
     """
     return _evaluate(model, eta, solver, traces, want_ell=True,
-                     want_second=second_order)
+                     want_first=True, want_second=second_order)
 
 
 def d_ell_deta(model: GpModel, eta: float, solver: Solver,
                traces=None) -> float:
     """First total derivative of the profiled likelihood in eta.
 
-    Costs one block solve and one trace lookup; no log-determinant.
+    Costs G_1 and G_2 from the solver and one trace lookup; no
+    log-determinant.
     """
     return _evaluate(model, eta, solver, traces, want_ell=False,
-                     want_second=False).d_ell
+                     want_first=True, want_second=False).d_ell
 
 
 def d2_ell_deta2(model: GpModel, eta: float, solver: Solver,
                  traces=None) -> float:
     """Second total derivative; needs z'M^3 z and trace(M^2), the latter
-    from the provider's power-2 route."""
+    from the provider's power-2 route.  The power-1 trace is not read."""
     return _evaluate(model, eta, solver, traces, want_ell=False,
-                     want_second=True).d2_ell
+                     want_first=False, want_second=True).d2_ell
 
 
 def ell_derivative_generic(model: GpModel, sigma2: float, eta: float,

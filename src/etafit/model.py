@@ -2,12 +2,13 @@
 log-determinants of K_eta = K + eta I.
 
 The storage of K picks the backend.  Dense K is diagonalized once, so each
-solve is a diagonal scaling.  Sparse K is solved by one block
-conjugate-gradient run per call, over all right-hand sides at once, and its
-log-determinants come from a symmetric-mode SuperLU factorization with a
-minimum-degree ordering.  ``Solver.grams`` hands the likelihood the Gram
-matrices [X | z]' K_eta^-p [X | z]; the M-matrix algebra built on them
-lives in ``likelihood``.
+solve is a diagonal scaling.  On sparse K, ``Solver.grams`` reads every
+Gram matrix [X | z]' K_eta^-p [X | z] by Gauss quadrature from one block
+Lanczos run on [X | z] per model, ``Solver.solve`` is one block
+conjugate-gradient run per call over all right-hand sides at once (the
+trace probes), and log-determinants come from a symmetric-mode SuperLU
+factorization with a minimum-degree ordering.  The M-matrix algebra built
+on the Gram matrices lives in ``likelihood``.
 """
 
 from __future__ import annotations
@@ -86,17 +87,22 @@ class Solver:
     already carries ``jitter`` (see ``spectral_jitter``), so every one of
     these describes K + jitter I.
 
-    Sparse storage ("cg") runs conjugate gradients on the stored matrix,
-    one block run over all columns of each right-hand side (``tol`` and
-    ``max_iter`` apply here only), and takes log-determinants from the
-    pivots of ``sparse_lu`` (symmetric-mode SuperLU, minimum-degree
-    ordering of K + K').  It has no spectrum (``eigvals`` is None) and
-    applies no jitter.
+    Sparse storage ("cg") works on the stored matrix only.  ``grams``
+    runs block Lanczos on [X | z] once per model (``BlockLanczos``; its
+    step count is ``lanczos_steps``), ``solve`` runs conjugate gradients,
+    one block run over all columns of each right-hand side, and
+    log-determinants come from the pivots of ``sparse_lu`` (symmetric-mode
+    SuperLU, minimum-degree ordering of K + K').  ``tol`` and ``max_iter``
+    (the budget of CG iterations or Lanczos steps) apply here only.  It
+    has no spectrum (``eigvals`` is None) and applies no jitter, and
+    ``grams`` needs K itself positive definite, since the Lanczos run
+    converges at eta = 0.
 
-    ``grams`` gives the likelihood everything it needs from the solves as
-    (m+1) x (m+1) Gram matrices of [X | z], so no n x n work and no
-    n-length vector leaves the solver per eta.  A solver is bound to one
-    correlation matrix.
+    ``grams`` gives the likelihood everything it needs from [X | z] as
+    (m+1) x (m+1) Gram matrices, so no n x n work and no n-length vector
+    leaves the solver per eta.  A solver is bound to one correlation
+    matrix, and keeps the per-model state (the rotated C or the Lanczos
+    run) of the model it last served.
     """
 
     def __init__(self, K: CorrelationMatrix, *, tol: float = 1e-10,
@@ -107,7 +113,7 @@ class Solver:
         self.jitter = 0.0
         self.eigvals = None
         self._U = None
-        self._rotated = None
+        self._per_model = None
         if K.storage == "dense":
             try:
                 lam, self._U = sla.eigh(K.toarray(), driver="evd",
@@ -123,31 +129,41 @@ class Solver:
         """"dense" (eigenbasis) or "cg", as set by the storage of K."""
         return "cg" if self._U is None else "dense"
 
+    @property
+    def lanczos_steps(self) -> int:
+        """Block Lanczos steps behind the model ``grams`` last served: 0 on
+        dense K and before the first call."""
+        if self._U is not None or self._per_model is None:
+            return 0
+        return self._per_model[1].steps
+
     def grams(self, model: GpModel, eta: float, count: int) -> list:
         """[G_1, ..., G_count] with G_p = R' K_eta^{-p} R, R = [X | z].
 
         Dense: C = U'R is rotated once for the model the solver last
-        served, and G_p = C' diag((lam + eta)^-p) C.  CG: S = K_eta^{-1} R
-        is one block solve, G_1 = R'S and G_2 = S'S; G_3 = S' K_eta^{-1} S
-        costs one more block solve.
+        served, and G_p = C' diag((lam + eta)^-p) C.  CG: one block
+        Lanczos run on R per model (``BlockLanczos``), and G_p is its
+        Gauss-quadrature form, O(k m^2) per eta with no n-length work.
         """
         _check_eta(eta)
+        if self._per_model is None or self._per_model[0] is not model:
+            self._per_model = (model, self._per_model_state(model))
         if self._U is None:
-            R = np.column_stack([model.X.entries, model.z])
-            S = self.solve(eta, R)
-            grams = [R.T @ S, S.T @ S][:count]
-            if count > 2:
-                grams.append(S.T @ self.solve(eta, S))
-            return grams
-        if self._rotated is None or self._rotated[0] is not model:
-            # U'X and U'z apart: OpenBLAS runs U'[X | z] (7 columns at m=6) on
-            # two threads, whose spin-wait slowed kernel_opt's next kernel
-            # assembly and eigh by 40% on 2 cores
-            self._rotated = (model, np.column_stack(
-                [self._U.T @ model.X.entries, self._U.T @ model.z]))
-        C = self._rotated[1]
+            return self._per_model[1].grams(eta, count)
+        C = self._per_model[1]
         d = 1.0 / (self.eigvals + eta)
         return [C.T @ (d[:, None] ** p * C) for p in range(1, count + 1)]
+
+    def _per_model_state(self, model: GpModel):
+        if self._U is None:
+            return BlockLanczos(self.K.entries,
+                                np.column_stack([model.X.entries, model.z]),
+                                self.tol, self.max_iter)
+        # U'X and U'z apart: OpenBLAS runs U'[X | z] (7 columns at m=6) on
+        # two threads, whose spin-wait slowed kernel_opt's next kernel
+        # assembly and eigh by 40% on 2 cores
+        return np.column_stack([self._U.T @ model.X.entries,
+                                self._U.T @ model.z])
 
     def solve(self, eta: float, B: np.ndarray) -> np.ndarray:
         """Return K_eta^{-1} B (to solver tolerance on the CG path)."""
@@ -227,6 +243,123 @@ def _check_eta(eta: float) -> None:
 def _coldot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Column-wise inner products of two n x k arrays."""
     return np.einsum("ij,ij->j", A, B)
+
+
+class BlockLanczos:
+    """Block Lanczos on R = Q_1 B_1 against a symmetric sparse K, kept as
+    its block-tridiagonal T (diagonal blocks A_j, couplings B_{j+1}) and
+    B_1; the basis is not stored.
+
+    ``grams(eta, p)`` is the Gauss-quadrature form
+    B_1' E_1' (T + eta I)^-p E_1 B_1 of R' K_eta^-p R (Golub & Meurant,
+    *Matrices, Moments and Quadrature*, 2010), which stays accurate
+    without reorthogonalization (Meurant & Strakos 2006, *Acta Numerica*
+    15:471).  The Krylov space of K + eta I does not depend on eta, so one
+    run serves every eta, and only Q_{j-1}, Q_j and the residual block
+    are n-length.  It runs until G_1..G_3 at eta = 0, where they
+    converge slowest, change by at most ``tol`` relative to
+    sqrt(G_ii G_jj) in one step; ``max_iter`` caps the steps (one sparse
+    product K @ Q_j each).  Residual directions at rounding level are
+    deflated, never normalized into new directions, and the run ends once
+    none remain (the Krylov space is exhausted and T is exact).
+    """
+
+    def __init__(self, K, R: np.ndarray, tol: float, max_iter: int):
+        b = R.shape[1]
+        Q, self.B1 = _deflated_qr(R, float(np.linalg.norm(R, axis=0).max()))
+        # lower band form of T: band[i - j, j] = T[i, j]; every coupling is
+        # b_{j+1} x b_j with b_j <= b, so T has lower bandwidth < 2b
+        self._band = np.zeros((2 * b, 0))
+        self.steps = 0
+        Q_prev = coupling = previous = None
+        change = math.inf
+        while Q.shape[1]:
+            if self.steps == max_iter:
+                raise SolverError(
+                    f"block Lanczos did not converge: stopped after "
+                    f"{self.steps} of {max_iter} steps (relative change "
+                    f"{change:.3e}, target {tol:.3e})")
+            W = K @ Q
+            self.steps += 1
+            scale = float(np.linalg.norm(W, axis=0).max())
+            if Q_prev is not None:
+                W -= Q_prev @ coupling.T
+            Q_prev = None  # released before the QR below makes Q_{j+1}
+            A = Q.T @ W
+            W -= Q @ A
+            A = 0.5 * (A + A.T)
+            bj = A.shape[0]
+            block = np.zeros((2 * b, bj))
+            for c in range(bj):
+                block[:bj - c, c] = A[c:, c]
+            self._band = np.hstack([self._band, block])
+            current = self.grams(0.0, 3)
+            if previous is not None:
+                change = max(_relative_change(g, h)
+                             for g, h in zip(current, previous))
+                if change <= tol:
+                    break
+            previous = current
+            Q_prev, (Q, coupling) = Q, _deflated_qr(W, scale)
+            for c in range(bj):
+                self._band[bj - c:bj - c + Q.shape[1], c - bj] = coupling[:, c]
+
+    def grams(self, eta: float, count: int) -> list:
+        """[G_1, ..., G_count] from one banded Cholesky of T + eta I."""
+        ab = self._band.copy()
+        ab[0] += eta
+        try:
+            L = (sla.cholesky_banded(ab, lower=True, check_finite=False), True)
+        except np.linalg.LinAlgError:
+            raise SolverError(f"K + {eta} I is not positive definite "
+                              f"(block Lanczos)") from None
+        E = np.zeros((ab.shape[1], self.B1.shape[1]))
+        E[:self.B1.shape[0]] = self.B1
+        Y = sla.cho_solve_banded(L, E, check_finite=False)
+        grams = [E.T @ Y, Y.T @ Y][:count]
+        if count > 2:
+            grams.append(Y.T @ sla.cho_solve_banded(L, Y, check_finite=False))
+        return grams
+
+
+def _deflated_qr(W: np.ndarray, scale: float):
+    """(Q, B) with W = Q B up to rounding and orthonormal Q.  Directions
+    at rounding level relative to ``scale`` (by the pivots of a
+    column-pivoted QR) are dropped, so Q may have fewer columns than W."""
+    n, b = W.shape
+    floor = b * math.sqrt(n) * np.finfo(float).eps * scale
+    G = W.T @ W
+    lam = np.linalg.eigvalsh(G)
+    if lam[0] > max(1e-8 * lam[-1], floor ** 2):
+        # cond(W) < 1e4 and every direction far above rounding level: two
+        # Cholesky-QR passes (BLAS-3 only) orthonormalize to rounding.
+        # LAPACK's Householder QR of an n x b block is level-2 BLAS, which
+        # OpenBLAS ran 5-20x slower on two threads than on one.
+        R1 = sla.cholesky(G, check_finite=False)
+        Q = W @ _triangular_inverse(R1)
+        R2 = sla.cholesky(Q.T @ Q, check_finite=False)
+        return Q @ _triangular_inverse(R2), R2 @ R1
+    Q, R, perm = sla.qr(W, mode="economic", pivoting=True, check_finite=False)
+    keep = int(np.count_nonzero(np.abs(np.diag(R)) > floor))
+    B = np.empty((keep, b))
+    B[:, perm] = R[:keep]
+    return Q[:, :keep], B
+
+
+def _triangular_inverse(R: np.ndarray) -> np.ndarray:
+    """R^-1 of a small upper-triangular R, C-ordered: OpenBLAS took up to
+    10x longer for an n x b by b x b product with a Fortran-ordered right
+    factor."""
+    return np.ascontiguousarray(sla.solve_triangular(
+        R, np.eye(R.shape[0]), check_finite=False))
+
+
+def _relative_change(G: np.ndarray, H: np.ndarray) -> float:
+    """max |G_ij - H_ij| / sqrt(G_ii G_jj), a change that does not depend
+    on the scale of the columns of R (|G_ij| <= sqrt(G_ii G_jj))."""
+    d = np.diag(G)
+    s = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+    return float(np.max(np.abs(G - H) * s[:, None] * s))
 
 
 def sparse_lu(A, eta: float = 0.0):

@@ -12,6 +12,7 @@ from etafit.likelihood import (LOG_2PI, d2_ell_deta2, d_ell_deta,
                                log_marginal_likelihood, profile_ell,
                                sigma2_hat)
 from etafit.model import GpModel
+from etafit.traces import ExactTraceProvider
 
 
 def dense_log_marginal(model, sigma2, eta):
@@ -126,6 +127,23 @@ class TestEtaDerivatives:
             fd = (d_ell_deta(model, eta + h, solver)
                   - d_ell_deta(model, eta - h, solver)) / (2.0 * h)
             assert analytic == pytest.approx(fd, rel=1e-4)
+
+    def test_second_derivative_reads_no_power_one_trace(self):
+        model = random_model(n=20, seed=30)
+        solver = dense_solver(model)
+        exact = ExactTraceProvider(model.K, solver.eigvals)
+        powers = []
+
+        def counting(eta, power=1):
+            powers.append(power)
+            return exact(eta, power)
+
+        for eta in (0.5, 3.0):
+            powers.clear()
+            d2 = d2_ell_deta2(model, eta, solver, counting)
+            assert powers == [2]
+            assert d2 == profile_ell(model, eta, solver, exact,
+                                     second_order=True).d2_ell
 
     def test_profiled_variance_derivative_identity(self):
         # d sigma2_hat / d eta = -z'M^2 z / (n - m), hence non-increasing

@@ -66,7 +66,7 @@ class TestSparseEstimation:
                                          sparse_problem.K.n))
         traces = ExactTraceProvider(sparse_problem.K)
         n_m = sparse_problem.n - sparse_problem.m
-        for eta in (0.05, 2.0, 40.0):
+        for eta in (0.0, 0.05, 2.0, 40.0):
             ev_cg = profile_ell(sparse_problem, eta, cg, traces,
                                 second_order=True)
             ev_dense = profile_ell(sparse_problem, eta, dense, traces,
@@ -79,6 +79,23 @@ class TestSparseEstimation:
             for field in ("z_m3_z", "trace_m1_sq", "d2_ell"):
                 assert getattr(ev_cg, field) == pytest.approx(
                     getattr(ev_dense, field), rel=1e-8), field
+
+    def test_only_probe_blocks_are_solved(self, sparse_problem,
+                                          monkeypatch):
+        # the Gram matrices of [X | z] come from the Lanczos run, so every
+        # CG solve of a fit is a block of Hutchinson probes
+        widths = []
+        real = Solver.solve
+
+        def recording(self, eta, B):
+            widths.append(np.shape(B)[1])
+            return real(self, eta, B)
+
+        monkeypatch.setattr(Solver, "solve", recording)
+        report = estimate_variances(sparse_problem)
+        assert widths
+        assert set(widths) == {DEFAULT_HUTCHINSON_VECTORS}
+        assert report.diagnostics["counts"]["lanczos_steps"] > 0
 
     def test_default_traces_on_cg_path_never_densify(self, sparse_problem,
                                                      monkeypatch):
@@ -136,6 +153,76 @@ class TestBlockCg:
             x, solver.solve(0.5, sparse_problem.z[:, None])[:, 0])
 
 
+def block_model(entries):
+    """Model with poly:2 design on n random points over the sparse K."""
+    n = entries.shape[0]
+    rng = np.random.default_rng(1)
+    points = rng.uniform(size=(n, 2))
+    K = CorrelationMatrix(sparse.csr_matrix(entries), "sparse", n)
+    X = build_design(points, BasisSpec("polynomial", 2))
+    return GpModel(rng.standard_normal(n), X, K, points)
+
+
+class TestLanczosGrams:
+    """Sparse ``grams`` (one block Lanczos run per model) against the dense
+    eigenbasis ones on the same K."""
+
+    @pytest.mark.parametrize("case", ["fixture", "identity",
+                                      "two_eigenvalues"])
+    def test_matches_dense_grams(self, sparse_problem, case):
+        if case == "fixture":
+            model = sparse_problem
+        elif case == "identity":
+            # Krylov space exhausted after one step
+            model = block_model(sparse.identity(400))
+        else:
+            # two distinct eigenvalues (0.5 and 1.5): exhausted after two
+            # steps, where normalizing the rounding-level residual into new
+            # directions puts G_3 off by 4e-7
+            model = block_model(sparse.kron(sparse.identity(200),
+                                            [[1.0, 0.5], [0.5, 1.0]]))
+        cg = Solver(model.K)
+        dense = Solver(CorrelationMatrix(model.K.toarray(), "dense",
+                                         model.K.n))
+        for eta in (0.0, 1e-3, 2.0, 1e3):
+            got = cg.grams(model, eta, 3)
+            want = dense.grams(model, eta, 3)
+            for p in range(3):
+                assert np.linalg.norm(got[p] - want[p]) <= \
+                    1e-10 * np.linalg.norm(want[p]), (eta, p + 1)
+        expected_steps = {"identity": 1, "two_eigenvalues": 2}
+        if case in expected_steps:
+            assert cg.lanczos_steps == expected_steps[case]
+        assert dense.lanczos_steps == 0
+
+    def test_one_run_serves_every_eta(self, sparse_problem):
+        solver = Solver(sparse_problem.K)
+        assert solver.lanczos_steps == 0
+        solver.grams(sparse_problem, 0.0, 3)
+        steps = solver.lanczos_steps
+        run = solver._per_model[1]
+        for eta in (1e-3, 2.0, 1e3):
+            solver.grams(sparse_problem, eta, 2)
+        assert solver._per_model[1] is run
+        assert solver.lanczos_steps == steps > 0
+
+    def test_duplicate_design_column_raises_model_error(self,
+                                                        sparse_problem):
+        from etafit.design import DesignMatrix
+        X = sparse_problem.X.entries
+        model = GpModel(sparse_problem.z,
+                        DesignMatrix(np.column_stack([X, X[:, 1]]),
+                                     X.shape[1] + 1),
+                        sparse_problem.K, sparse_problem.points)
+        with pytest.raises(ModelError):
+            sigma2_hat(model, 0.5, Solver(sparse_problem.K))
+
+    def test_step_budget(self, sparse_problem):
+        solver = Solver(sparse_problem.K, max_iter=2)
+        with pytest.raises(SolverError, match="stopped after 2 of 2 steps"):
+            solver.grams(sparse_problem, 0.5, 2)
+
+
 def duplicate_point_K():
     """Tapered K on 200 points with points 0 and 1 coincident: K has two
     equal rows and is exactly singular."""
@@ -176,6 +263,15 @@ class TestSolverErrors:
         A = entries.toarray() + np.eye(n)
         assert Solver(K).logdet(1.0) == pytest.approx(
             np.linalg.slogdet(A)[1], rel=1e-12)
+
+    def test_indefinite_grams_raise_solver_error(self):
+        # the Lanczos run converges at eta = 0, so it needs K itself
+        # positive definite, even when K + eta I is
+        n = 10
+        entries = sparse.diags([0.8, 1.0, 0.8], [-1, 0, 1], shape=(n, n))
+        model = block_model(entries)
+        with pytest.raises(SolverError, match="K \\+ 0.0 I is not positive"):
+            Solver(model.K).grams(model, 1.0, 2)
 
     def test_singular_inner_system_raises_model_error(self):
         from etafit.design import DesignMatrix
