@@ -126,7 +126,9 @@ def _frobenius_sq(K) -> float:
         E = K.entries
         return float(E.multiply(E).sum())
     A = K.entries if isinstance(K, CorrelationMatrix) else np.asarray(K)
-    return float(np.sum(A * A))
+    # einsum makes no n x n temporary, which would add a third n x n array
+    # to K and its tridiagonal reduction in a dense fit
+    return float(np.einsum("ij,ij->", A, A))
 
 
 def large_n(model: GpModel) -> bool:

@@ -268,7 +268,7 @@ def cmd_benchmark(args) -> int:
         try:
             row = _benchmark_cell(n, storage, method, args.sigma0, args.seed,
                                   config)
-        except NumericError as exc:
+        except (InputError, NumericError) as exc:
             return {"n": n, "storage": storage, "method": method,
                     "wall_time": "", "precompute": "", "root_find": "",
                     "n_evals": "", "n_ell_evals": "",

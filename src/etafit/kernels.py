@@ -15,6 +15,7 @@ on a grid is a few hundred calls instead of one per pair.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,14 @@ FAMILIES = ("exponential", "matern", "gaussian")
 # Above this smoothness the Matern kernel is within 1% of the Gaussian
 # kernel everywhere, and Bessel evaluation becomes fragile.
 MATERN_GAUSSIAN_NU = 25.0
+
+# Peak memory of dense assembly in n x n arrays of doubles, K included:
+# the condensed distances, the kernel values over them and the square K.
+# tracemalloc measured 2.5 (exponential, Gaussian) and 3.0 (half-integer
+# Matern) at n = 2500 and n = 1500, and up to 5.6 for the general Matern
+# branch, whose np.unique sorts a copy and keeps an index per pair.
+DENSE_ASSEMBLY_COPIES = 3.0
+BESSEL_ASSEMBLY_COPIES = 6.0
 
 # Scaled distances below this are treated as zero in the general Matern
 # branch; K_nu overflows against x**nu underflowing long before this matters.
@@ -185,13 +194,51 @@ def taper_radius(kernel: CorrelationKernel) -> float:
     return hi
 
 
+def available_memory() -> int | None:
+    """Bytes of memory available to a new allocation: MemAvailable from
+    /proc/meminfo, else the free physical pages; None when neither can be
+    read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError):
+        return None
+
+
+def require_dense_memory(n: int, copies: float, what: str) -> None:
+    """Raise InputError before an allocation of ``copies`` n x n arrays of
+    doubles that the available memory (``available_memory``) cannot hold,
+    instead of letting the operating system kill the process."""
+    need = 8.0 * copies * n * n
+    have = available_memory()
+    if have is not None and need > have:
+        raise InputError(
+            f"dense K at n={n} needs about {need / 2**20:.0f} MiB for {what}, "
+            f"but only {have / 2**20:.0f} MiB of memory is available; use a "
+            f"tapered kernel (such as exp:0.1:taper=0.05) for sparse storage")
+
+
+def _assembly_copies(kernel: CorrelationKernel) -> float:
+    if (kernel.family == "matern" and kernel.nu < MATERN_GAUSSIAN_NU
+            and _half_integer_order(kernel.nu) is None):
+        return BESSEL_ASSEMBLY_COPIES
+    return DENSE_ASSEMBLY_COPIES
+
+
 def correlation_matrix(points: np.ndarray,
                        kernel: CorrelationKernel) -> CorrelationMatrix:
     """Assemble K_ij = kernel(||x_i - x_j||_2) over a point set.
 
     With a positive taper threshold the matrix is assembled in CSR storage
     from a KD-tree neighbor query; otherwise it is dense.  Symmetry is exact
-    by construction and the diagonal is exactly 1.
+    by construction and the diagonal is exactly 1.  Dense assembly raises
+    InputError up front when the memory available cannot hold it.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
@@ -223,6 +270,8 @@ def correlation_matrix(points: np.ndarray,
         return CorrelationMatrix(entries, "sparse", n, has_duplicates,
                                  {"nnz_density": density})
 
+    # its peak exceeds that of K plus the tridiagonal reduction (2 copies)
+    require_dense_memory(n, _assembly_copies(kernel), "its assembly")
     # one triangle: the condensed pair distances (empty for n = 1)
     dist = pdist(pts)
     entries = squareform(kernel_profile(kernel, dist), checks=False)

@@ -50,8 +50,9 @@ class LikelihoodEval:
 
 def trace_provider(solver: Solver, seed: int = 0):
     """The trace route of the solver's backend: exact traces from the
-    eigenbasis spectrum on dense K, Hutchinson estimates with
-    DEFAULT_HUTCHINSON_VECTORS probes on the CG path (no dense matrix)."""
+    dense solver's spectrum (the eigenvalues of its tridiagonal T),
+    Hutchinson estimates with DEFAULT_HUTCHINSON_VECTORS probes on the CG
+    path (no dense matrix)."""
     if solver.eigvals is None:
         return HutchinsonTraceProvider(solver.K, solver,
                                        DEFAULT_HUTCHINSON_VECTORS, seed)

@@ -1,10 +1,12 @@
 """The problem instance and the numerical backend behind it: solves and
 log-determinants of K_eta = K + eta I.
 
-The storage of K picks the backend.  Dense K is diagonalized once, so each
-solve is a diagonal scaling.  On sparse K, ``Solver.grams`` reads every
-Gram matrix [X | z]' K_eta^-p [X | z] by Gauss quadrature from one block
-Lanczos run on [X | z] per model, ``Solver.solve`` is one block
+The storage of K picks the backend, and both read the likelihood's Gram
+matrices [X | z]' K_eta^-p [X | z] from a banded T by one banded Cholesky
+per eta.  Dense K is reduced once to tridiagonal form K = Q T Q' by
+Householder reflections; the eigenvalues of T give the log-determinants
+and traces.  On sparse K, T comes from one block Lanczos run on [X | z] per
+model (Gauss quadrature), ``Solver.solve`` is one block
 conjugate-gradient run per call over all right-hand sides at once (the
 trace probes), and log-determinants come from a symmetric-mode SuperLU
 factorization with a minimum-degree ordering.  The M-matrix algebra built
@@ -14,16 +16,18 @@ on the Gram matrices lives in ``likelihood``.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .design import DesignMatrix
 from .errors import InputError, ModelError, SolverError
-from .kernels import CorrelationMatrix
+from .kernels import CorrelationMatrix, require_dense_memory
 
 # Degeneracy flag: z counts as lying in range(X) when the projection
 # residual is below this fraction of ||z||.
@@ -80,12 +84,18 @@ class Solver:
     """Solves and log-determinants of K_eta = K + eta I for one correlation
     matrix; ``K.storage`` picks the backend (``method``, read-only).
 
-    Dense storage ("dense") factors K = U diag(lam) U' once (LAPACK ``evd``
-    driver).  Every per-eta quantity is then diagonal in the eigenbasis: a
-    solve scales by 1 / (lam + eta), log det K_eta = sum log(lam + eta), and
-    ``eigvals`` gives trace(K_eta^-p) = sum (lam + eta)^-p.  ``eigvals``
-    already carries ``jitter`` (see ``spectral_jitter``), so every one of
-    these describes K + jitter I.
+    Dense storage ("dense") reduces K = Q T Q' to a symmetric tridiagonal
+    T once (LAPACK ``dsytrd``; Golub & Van Loan, *Matrix Computations*,
+    4th ed., section 8.3), in ``factor_s`` seconds.  Q is kept as its
+    Householder reflectors and never formed, and no eigenvector is
+    computed.  ``eigvals``, the spectrum of T from ``dsterf``, gives
+    log det K_eta = sum log(lam + eta) and trace(K_eta^-p) =
+    sum (lam + eta)^-p.  ``grams`` rotates C = Q'[X | z] once per model
+    and reads the Gram matrices from one banded Cholesky of T + eta I per
+    eta, the code that also serves the sparse Lanczos T
+    (``_banded_grams``); ``solve`` is Q (T + eta I)^-1 Q' B.  T and
+    ``eigvals`` carry ``jitter`` (see ``spectral_jitter``), so every one
+    of these describes K + jitter I.
 
     Sparse storage ("cg") works on the stored matrix only.  ``grams``
     runs block Lanczos on [X | z] once per model (``BlockLanczos``; its
@@ -94,9 +104,9 @@ class Solver:
     log-determinants come from the pivots of ``sparse_lu`` (symmetric-mode
     SuperLU, minimum-degree ordering of K + K').  ``tol`` and ``max_iter``
     (the budget of CG iterations or Lanczos steps) apply here only.  It
-    has no spectrum (``eigvals`` is None) and applies no jitter, and
-    ``grams`` needs K itself positive definite, since the Lanczos run
-    converges at eta = 0.
+    has no spectrum (``eigvals`` is None), applies no jitter and factors
+    nothing up front (``factor_s`` is 0), and ``grams`` needs K itself
+    positive definite, since the Lanczos run converges at eta = 0.
 
     ``grams`` gives the likelihood everything it needs from [X | z] as
     (m+1) x (m+1) Gram matrices, so no n x n work and no n-length vector
@@ -112,68 +122,93 @@ class Solver:
         self.max_iter = max_iter if max_iter is not None else 10 * K.n
         self.jitter = 0.0
         self.eigvals = None
-        self._U = None
+        self.factor_s = 0.0
+        self._band = None
         self._per_model = None
         if K.storage == "dense":
-            try:
-                lam, self._U = sla.eigh(K.toarray(), driver="evd",
-                                        check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"eigendecomposition of K failed: {exc}") \
-                    from None
-            self.jitter = spectral_jitter(float(lam[0]), K.n)
-            self.eigvals = lam + self.jitter
+            started = time.perf_counter()
+            self._tridiagonalize(K.toarray())
+            self.factor_s = time.perf_counter() - started
+
+    def _tridiagonalize(self, A: np.ndarray) -> None:
+        n = A.shape[0]
+        require_dense_memory(n, 1.0, "its tridiagonal reduction")
+        lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+        # overwrite_a=0: A is the stored matrix of K itself
+        a, d, e, self._tau, info = lapack.dsytrd(A, lower=1, lwork=lwork,
+                                                 overwrite_a=0)
+        lam = d
+        if info == 0 and n > 1:  # the dsterf wrapper needs n >= 2
+            lam, info = lapack.dsterf(d, e)
+        if info != 0:
+            raise SolverError(f"tridiagonal reduction of K failed (LAPACK "
+                              f"info {info})")
+        self.jitter = spectral_jitter(float(lam[0]), n)
+        self.eigvals = lam + self.jitter
+        # lower band form of T + jitter I, as in BlockLanczos
+        self._band = np.vstack([d + self.jitter, np.append(e, 0.0)])
+        # Q fixes row 0; its reflectors are those of a QR factorization of
+        # a[1:, :n-1].  This view keeps a's leading dimension n, of which
+        # LAPACK reads the first n - 1 rows, so no (n-1) x (n-1) copy is made
+        self._reflectors = a.reshape(-1, order="F")[1:1 + n * (n - 1)] \
+            .reshape((n, n - 1), order="F")
 
     @property
     def method(self) -> str:
-        """"dense" (eigenbasis) or "cg", as set by the storage of K."""
-        return "cg" if self._U is None else "dense"
+        """"dense" (tridiagonal) or "cg", as set by the storage of K."""
+        return "cg" if self._band is None else "dense"
 
     @property
     def lanczos_steps(self) -> int:
         """Block Lanczos steps behind the model ``grams`` last served: 0 on
         dense K and before the first call."""
-        if self._U is not None or self._per_model is None:
+        if self._band is not None or self._per_model is None:
             return 0
         return self._per_model[1].steps
 
     def grams(self, model: GpModel, eta: float, count: int) -> list:
         """[G_1, ..., G_count] with G_p = R' K_eta^{-p} R, R = [X | z].
 
-        Dense: C = U'R is rotated once for the model the solver last
-        served, and G_p = C' diag((lam + eta)^-p) C.  CG: one block
-        Lanczos run on R per model (``BlockLanczos``), and G_p is its
-        Gauss-quadrature form, O(k m^2) per eta with no n-length work.
+        Dense: C = Q'R is rotated once for the model the solver last
+        served, and G_p = C' (T + eta I)^-p C.  CG: one block Lanczos run
+        on R per model (``BlockLanczos``), and G_p is its Gauss-quadrature
+        form.  Either way one banded Cholesky per eta (``_banded_grams``),
+        O(n m^2) dense and O(k m^2) on the Lanczos T of k steps.
         """
         _check_eta(eta)
         if self._per_model is None or self._per_model[0] is not model:
             self._per_model = (model, self._per_model_state(model))
-        if self._U is None:
+        if self._band is None:
             return self._per_model[1].grams(eta, count)
-        C = self._per_model[1]
-        d = 1.0 / (self.eigvals + eta)
-        return [C.T @ (d[:, None] ** p * C) for p in range(1, count + 1)]
+        return _banded_grams(self._band, self._per_model[1], eta, count)
 
     def _per_model_state(self, model: GpModel):
-        if self._U is None:
-            return BlockLanczos(self.K.entries,
-                                np.column_stack([model.X.entries, model.z]),
-                                self.tol, self.max_iter)
-        # U'X and U'z apart: OpenBLAS runs U'[X | z] (7 columns at m=6) on
-        # two threads, whose spin-wait slowed kernel_opt's next kernel
-        # assembly and eigh by 40% on 2 cores
-        return np.column_stack([self._U.T @ model.X.entries,
-                                self._U.T @ model.z])
+        R = np.column_stack([model.X.entries, model.z])
+        if self._band is None:
+            return BlockLanczos(self.K.entries, R, self.tol, self.max_iter)
+        return self._rotate(R, "T")
+
+    def _rotate(self, B: np.ndarray, trans: str) -> np.ndarray:
+        """Q'B (``trans`` "T") or QB ("N") for an n x k array B."""
+        out = np.array(B, dtype=float)
+        if out.shape[0] > 1:
+            lwork = int(lapack.dormqr("L", trans, self._reflectors,
+                                      self._tau, out[1:], -1)[1][0])
+            out[1:] = lapack.dormqr("L", trans, self._reflectors, self._tau,
+                                    out[1:], lwork)[0]
+        return out
 
     def solve(self, eta: float, B: np.ndarray) -> np.ndarray:
         """Return K_eta^{-1} B (to solver tolerance on the CG path)."""
         _check_eta(eta)
         B = np.asarray(B, dtype=float)
-        if self._U is None:
+        if self._band is None:
             return self._solve_cg(eta, B)
-        d = 1.0 / (self.eigvals + eta)
-        V = self._U.T @ B
-        return self._U @ (d * V if V.ndim == 1 else d[:, None] * V)
+        B2 = B[:, None] if B.ndim == 1 else B
+        L = _banded_cholesky(self._band, eta)
+        X = self._rotate(sla.cho_solve_banded(L, self._rotate(B2, "T"),
+                                              check_finite=False), "N")
+        return X[:, 0] if B.ndim == 1 else X
 
     def _solve_cg(self, eta: float, B: np.ndarray) -> np.ndarray:
         """One conjugate-gradient run over all columns of B: each iteration
@@ -305,21 +340,37 @@ class BlockLanczos:
                 self._band[bj - c:bj - c + Q.shape[1], c - bj] = coupling[:, c]
 
     def grams(self, eta: float, count: int) -> list:
-        """[G_1, ..., G_count] from one banded Cholesky of T + eta I."""
-        ab = self._band.copy()
-        ab[0] += eta
-        try:
-            L = (sla.cholesky_banded(ab, lower=True, check_finite=False), True)
-        except np.linalg.LinAlgError:
-            raise SolverError(f"K + {eta} I is not positive definite "
-                              f"(block Lanczos)") from None
-        E = np.zeros((ab.shape[1], self.B1.shape[1]))
+        """[G_1, ..., G_count] for E = E_1 B_1 (``_banded_grams``)."""
+        E = np.zeros((self._band.shape[1], self.B1.shape[1]))
         E[:self.B1.shape[0]] = self.B1
-        Y = sla.cho_solve_banded(L, E, check_finite=False)
-        grams = [E.T @ Y, Y.T @ Y][:count]
-        if count > 2:
-            grams.append(Y.T @ sla.cho_solve_banded(L, Y, check_finite=False))
-        return grams
+        return _banded_grams(self._band, E, eta, count)
+
+
+def _banded_cholesky(band: np.ndarray, eta: float):
+    """Lower banded Cholesky factor of T + eta I, for ``cho_solve_banded``;
+    ``band`` is T in lower band form, band[i - j, j] = T[i, j]."""
+    ab = band.copy()
+    ab[0] += eta
+    try:
+        return sla.cholesky_banded(ab, lower=True, check_finite=False), True
+    except np.linalg.LinAlgError:
+        raise SolverError(f"K + {eta} I is not positive definite (banded "
+                          f"Cholesky)") from None
+
+
+def _banded_grams(band: np.ndarray, E: np.ndarray, eta: float,
+                  count: int) -> list:
+    """[G_1, ..., G_count] with G_p = E' (T + eta I)^-p E, from one banded
+    Cholesky of T + eta I (T in lower band form, see ``_banded_cholesky``).
+    With K = Q T Q' and E = Q'R, G_p = R' K_eta^-p R: dense K gives T and
+    Q exactly (tridiagonal, Householder), sparse K gives them by block
+    Lanczos on R, where E = E_1 B_1 and G_p is a Gauss-quadrature form."""
+    L = _banded_cholesky(band, eta)
+    Y = sla.cho_solve_banded(L, E, check_finite=False)
+    grams = [E.T @ Y, Y.T @ Y][:count]
+    if count > 2:
+        grams.append(Y.T @ sla.cho_solve_banded(L, Y, check_finite=False))
+    return grams
 
 
 def _deflated_qr(W: np.ndarray, scale: float):

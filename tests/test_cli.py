@@ -288,6 +288,21 @@ class TestBenchmarkCommand:
         assert profiled[400] >= profiled[64]
 
 
+    def test_cell_beyond_available_memory_is_recorded(self, tmp_path,
+                                                      monkeypatch):
+        import etafit.kernels
+        monkeypatch.setattr(etafit.kernels, "available_memory",
+                            lambda: 8 * 3 * 100 ** 2)
+        out = tmp_path / "bench.csv"
+        assert main(["benchmark", "--sizes", "64,144", "--out",
+                     str(out)]) == 0
+        lines = out.read_text().strip().splitlines()[1:]
+        assert not any("failed" in line for line in lines
+                       if line.startswith("64,"))
+        refused = [line for line in lines if line.startswith("144,")]
+        assert len(refused) == 2
+        assert all("failed: dense K at n=144" in line for line in refused)
+
 class TestPlotdataCommand:
     def test_columns_finite_and_bounded(self, data_csv, tmp_path):
         out = tmp_path / "plot.csv"

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from conftest import dense_solver
 from etafit import likelihood
@@ -210,6 +212,31 @@ class TestEstimateVariances:
         assert abs(likelihood.d_ell_deta(model, eta_hat, solver)) <= f_tol
         assert likelihood.d2_ell_deta2(model, eta_hat, solver) < 0.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dense_root_is_the_exact_root(self, seed):
+        # the root of d ell / d eta from an eigendecomposition of K,
+        # found by brentq at 1e-14 in log10(eta), independent of Solver
+        model = grid_model(n_side=30, seed=seed)
+        report = estimate_variances(model)
+        assert report.outcome == "interior"
+        n, m = model.n, model.m
+        lam, U = sla.eigh(model.K.toarray())
+        C = U.T @ np.column_stack([model.X.entries, model.z])
+
+        def d_ell(t):
+            d = 1.0 / (lam + 10.0 ** t)
+            G1 = C.T @ (d[:, None] * C)
+            G2 = C.T @ (d[:, None] ** 2 * C)
+            v = np.append(-np.linalg.solve(G1[:m, :m], G1[:m, m]), 1.0)
+            s2 = v @ G1 @ v / (n - m)
+            trace_m = d.sum() - np.trace(np.linalg.solve(G1[:m, :m],
+                                                         G2[:m, :m]))
+            return -0.5 * (trace_m - v @ G2 @ v / s2)
+
+        t_hat = math.log10(report.hyperparams.eta)
+        t_exact = brentq(d_ell, t_hat - 1e-3, t_hat + 1e-3, xtol=1e-14)
+        assert abs(t_hat - t_exact) <= 1e-8
+
     def test_interpolated_root_zeroes_the_interpolated_derivative(self):
         # on sparse K the default run roots the derivative built on
         # interpolated traces; refitting the same interpolant reproduces
@@ -271,9 +298,10 @@ class TestEstimateVariances:
                    - math.log10(exact.hyperparams.eta)) <= 1e-8
         assert not default.diagnostics["trace"]["interpolated"]
 
-    def test_dense_run_makes_one_eigendecomposition_and_no_n_by_n_cholesky(
+    def test_dense_run_makes_one_tridiagonal_reduction_and_no_n_by_n_cholesky(
             self, monkeypatch):
         import scipy.linalg
+        import scipy.linalg.lapack
         model = grid_model(n_side=12, seed=3)
         n = model.n
         calls = []
@@ -285,7 +313,9 @@ class TestEstimateVariances:
             return wrapper
 
         for module, names in ((scipy.linalg, ("eigh", "eigvalsh", "cholesky",
-                                              "cho_factor")),
+                                              "cho_factor",
+                                              "cholesky_banded")),
+                              (scipy.linalg.lapack, ("dsytrd",)),
                               (np.linalg, ("eigh", "eigvalsh", "cholesky"))):
             for name in names:
                 monkeypatch.setattr(module, name, counting(
@@ -293,10 +323,21 @@ class TestEstimateVariances:
         report = estimate_variances(model)
         assert report.outcome == "interior"
         big = [c for c in calls if c[1] == (n, n)]
-        assert big == [("scipy.linalg.eigh", (n, n))]
-        # every Cholesky left is of an m x m matrix
-        assert all(shape == (model.m, model.m) for name, shape in calls
-                   if "cho" in name)
+        assert big == [("scipy.linalg.lapack.dsytrd", (n, n))]
+        # every Cholesky left is of an m x m matrix or of the banded
+        # T + eta I (lower band form, 2 x n)
+        cholesky = [shape for name, shape in calls if "cho" in name]
+        assert (2, n) in cholesky
+        assert all(shape in ((model.m, model.m), (2, n))
+                   for shape in cholesky)
+
+    def test_factorization_time_is_reported(self):
+        dense = estimate_variances(grid_model(n_side=12, seed=3))
+        assert dense.diagnostics["timing"]["factor"] > 0.0
+        sparse = estimate_variances(grid_model(
+            n_side=SPARSE_SIDE, seed=3, alpha=SPARSE_ALPHA,
+            taper=SPARSE_TAPER))
+        assert sparse.diagnostics["timing"]["factor"] == 0.0
 
     def test_thresholds_do_not_change_ell_max(self):
         # a root outside [c, C] is reported as the boundary estimate, but

@@ -288,3 +288,58 @@ class TestOneTriangleAssembly:
         monkeypatch.setattr(etafit.kernels, "kv", counting_kv)
         correlation_matrix(pts, CorrelationKernel("matern", 0.1, nu=1.3))
         assert 0 < sum(arguments) <= np.unique(pdist(pts)).size
+
+
+class TestDenseMemoryGuard:
+    """The available-memory probe is patched, so nothing large is
+    allocated whether or not the guard fires."""
+
+    n = 300
+
+    def points(self):
+        return np.random.default_rng(2).uniform(size=(self.n, 2))
+
+    def limit(self, monkeypatch, copies):
+        monkeypatch.setattr(etafit.kernels, "available_memory",
+                            lambda: int(8 * copies * self.n ** 2))
+
+    def test_assembly_refused_beyond_available_memory(self, monkeypatch):
+        self.limit(monkeypatch, 2.0)
+        with pytest.raises(InputError) as exc:
+            correlation_matrix(self.points(),
+                               CorrelationKernel("exponential", 0.1))
+        message = str(exc.value)
+        need = 8 * etafit.kernels.DENSE_ASSEMBLY_COPIES * self.n ** 2
+        assert f"{need / 2**20:.0f} MiB" in message
+        assert f"{8 * 2.0 * self.n ** 2 / 2**20:.0f} MiB" in message
+        assert "taper" in message
+
+    def test_bessel_assembly_needs_more(self, monkeypatch):
+        self.limit(monkeypatch, 4.0)
+        correlation_matrix(self.points(), CorrelationKernel("matern", 0.1,
+                                                            nu=2.5))
+        with pytest.raises(InputError):
+            correlation_matrix(self.points(),
+                               CorrelationKernel("matern", 0.1, nu=1.7))
+
+    def test_sparse_storage_and_unknown_memory_pass(self, monkeypatch):
+        self.limit(monkeypatch, 0.0)
+        K = correlation_matrix(self.points(), CorrelationKernel(
+            "exponential", 0.01, taper_threshold=0.05))
+        assert K.storage == "sparse"
+        monkeypatch.setattr(etafit.kernels, "available_memory", lambda: None)
+        correlation_matrix(self.points(), CorrelationKernel("exponential",
+                                                            0.1))
+
+    def test_tridiagonal_reduction_needs_one_copy(self, monkeypatch):
+        from etafit.model import Solver
+        K = correlation_matrix(self.points(),
+                               CorrelationKernel("exponential", 0.1))
+        self.limit(monkeypatch, 1.0)
+        Solver(K)
+        self.limit(monkeypatch, 0.9)
+        with pytest.raises(InputError, match="tridiagonal reduction"):
+            Solver(K)
+
+    def test_probe_reads_a_positive_byte_count(self):
+        assert etafit.kernels.available_memory() > 0

@@ -1,17 +1,19 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sparse
 
 from conftest import (dense_m1, dense_p, dense_solver, gls_beta, m_action,
                       random_model)
 from etafit.design import BasisSpec, build_design
-from etafit.errors import InputError, ModelError
+from etafit.errors import InputError, ModelError, SolverError
 from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
 from etafit.likelihood import profile_ell
-from etafit.model import GpModel, HyperParams, Solver
+from etafit.model import GpModel, HyperParams, Solver, spectral_jitter
 from etafit.traces import ExactTraceProvider
 
 
@@ -132,6 +134,82 @@ class TestSolver:
                                                    rel=1e-10)
             assert traces(eta, 2) == pytest.approx(
                 np.sum(A_inv * A_inv), rel=1e-10)
+
+
+def _oracle_cases():
+    """(K, R = [X | z]) pairs: the barely indefinite matrix of
+    ``test_jitter_retry_on_indefinite_matrix``, a poly:3 design (m = 10)
+    and the edge sizes n = 1 and n = 2."""
+    rng = np.random.default_rng(23)
+    A = np.eye(4)
+    A[0, 1] = A[1, 0] = 1.0 + 1e-13
+    cases = {"indefinite": (CorrelationMatrix(A, "dense", 4),
+                            rng.standard_normal((4, 3)))}
+    pts = rng.uniform(size=(150, 2))
+    X = build_design(pts, BasisSpec("polynomial", 3))
+    assert X.m == 10
+    cases["poly3"] = (correlation_matrix(pts, CorrelationKernel(
+        "exponential", 0.2)), np.column_stack([X.entries,
+                                               rng.standard_normal(150)]))
+    for n in (1, 2):
+        pts = rng.uniform(size=(n, 2))
+        cases[f"n{n}"] = (correlation_matrix(pts, CorrelationKernel(
+            "exponential", 0.3)), rng.standard_normal((n, 2)))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestTridiagonalBackend:
+    """The dense solver against the eigenbasis of the same K from
+    ``scipy.linalg.eigh``, shifted by the same jitter policy."""
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-2, 1.0, 30.0, 1e3])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_eigenbasis(self, case, eta):
+        K, R = ORACLE_CASES[case]
+        n = K.n
+        solver = Solver(K)
+        lam, U = sla.eigh(K.toarray())
+        jitter = spectral_jitter(float(lam[0]), n)
+        assert solver.jitter == pytest.approx(jitter, rel=1e-6)
+        lam = lam + jitter
+        d = 1.0 / (lam + eta)
+        C = U.T @ R
+        # two backward-stable routes agree to about eps times the condition
+        # number of K_eta; 1e-12 for every case but the jittered K at
+        # eta = 0, whose smallest eigenvalue sits at the rounding floor
+        rtol = max(1e-12, 8 * np.finfo(float).eps * d.max() / d.min())
+        model = SimpleNamespace(X=SimpleNamespace(entries=R[:, :-1]),
+                                z=R[:, -1])
+        for p, G in enumerate(solver.grams(model, eta, 3), start=1):
+            expected = C.T @ (d[:, None] ** p * C)
+            assert np.abs(G - expected).max() <= rtol * np.abs(expected).max()
+        assert solver.logdet(eta) == pytest.approx(np.sum(np.log(lam + eta)),
+                                                   rel=1e-10, abs=1e-10)
+        traces = ExactTraceProvider(K, solver.eigvals)
+        for p in (1, 2):
+            assert traces(eta, p) == pytest.approx(np.sum(d ** p), rel=1e-12)
+        expected = U @ (d[:, None] * C)
+        X2 = solver.solve(eta, R)
+        X1 = solver.solve(eta, R[:, 0])
+        assert X1.shape == (n,) and X2.shape == R.shape
+        scale = np.abs(expected).max()
+        assert np.abs(X2 - expected).max() <= rtol * scale
+        assert np.abs(X1 - expected[:, 0]).max() <= rtol * scale
+
+    @pytest.mark.parametrize("routine", ["dsytrd", "dsterf"])
+    def test_lapack_failure_raises_solver_error(self, routine, monkeypatch):
+        import etafit.model
+        real = getattr(etafit.model.lapack, routine)
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+        monkeypatch.setattr(etafit.model.lapack, routine, failing)
+        with pytest.raises(SolverError, match="tridiagonal reduction"):
+            Solver(ORACLE_CASES["poly3"][0])
 
 
 class TestM1Apply:
