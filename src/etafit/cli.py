@@ -7,6 +7,8 @@ Exit codes: 0 success, 2 input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -138,6 +140,13 @@ def _write_text(path, text: str) -> None:
     Path(path).write_text(text)
 
 
+def _csv_line(fields) -> str:
+    """One CSV row; a field holding a comma (an error message) is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -214,12 +223,14 @@ def cmd_table1(args) -> int:
                        "-inf" if hp.eta == 0 else f"{math.log10(hp.eta):.4f}")
             rel = abs(sigma0_true - hp.sigma0) / sigma0_true \
                 if sigma0_true else math.nan
-            rows.append(f"{name},{model.m},{sigma0_true},{log_eta},"
-                        f"{hp.sigma:.4f},{hp.sigma0:.4f},{rel:.4f}")
+            rows.append(_csv_line([name, model.m, sigma0_true, log_eta,
+                                   f"{hp.sigma:.4f}", f"{hp.sigma0:.4f}",
+                                   f"{rel:.4f}"]))
             print(rows[-1])
         except (InputError, NumericError) as exc:
             # a failed row is recorded and the sweep continues
-            rows.append(f"{name},,,failed: {exc},,,")
+            rows.append(_csv_line([name, "", "", f"failed: {exc}", "", "",
+                                   ""]))
             print(rows[-1])
     _write_text(args.out, "\n".join(rows) + "\n")
     return 0
@@ -285,7 +296,7 @@ def cmd_benchmark(args) -> int:
               "root_find", "n_evals", "n_ell_evals", "outcome"]
     rows = [",".join(header)]
     for row in results:
-        rows.append(",".join(str(row[h]) for h in header))
+        rows.append(_csv_line(row[h] for h in header))
         print(rows[-1])
     _write_text(args.out, "\n".join(rows) + "\n")
     return 0

@@ -13,6 +13,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,12 +43,13 @@ MAX_ROOT_ITER = 100
 # ----------------------------------------------------------------------
 
 def chandrupatla_root(f, lo: float, hi: float, x_tol: float = 1e-8,
-                      f_tol: float = 0.0, max_iter: int = 100,
+                      max_iter: int = 100,
                       f_lo: float | None = None, f_hi: float | None = None):
     """Bracketing root finder mixing bisection with inverse quadratic
     interpolation, accepted through Chandrupatla's criterion.
 
-    Stops when |f| <= f_tol or the bracket width falls below x_tol.
+    Stops at an exact zero of f or when the bracket width falls below
+    x_tol.
     Returns (root, iterations).  The two initial endpoint evaluations are
     not counted as iterations.
     """
@@ -82,7 +84,7 @@ def chandrupatla_root(f, lo: float, hi: float, x_tol: float = 1e-8,
         xm, fm = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
         dx = abs(x2 - x1)
         tol = x_tol + 4.0 * np.finfo(float).eps * abs(xm)
-        if abs(fm) <= f_tol or dx <= tol:
+        if fm == 0.0 or dx <= tol:
             return xm, iteration
 
         # inverse quadratic interpolation only when admissible, else bisect
@@ -272,15 +274,15 @@ class EstimateConfig:
     run; the dense backend always uses exact traces.
 
     Each root search runs until its bracket is narrower than ``eta_tol``
-    in log10(eta).  ``f_tol_scale`` no longer stops it; it is the bound
-    on |d ell / d eta| / (n - m) that the benchmark's self-test applies
-    at a reported root.
+    in log10(eta).  ``f_tol_scale`` is a constant, not a setting: it is
+    the bound on |d ell / d eta| / (n - m) that the tests apply at a
+    reported root.
     """
 
     c_threshold: float = 1e-4
     C_threshold: float = 1e4
     eta_tol: float = 1e-10          # bracket tolerance in log10(eta)
-    f_tol_scale: float = 1e-8       # |d ell / d eta| bound at a root / (n - m)
+    f_tol_scale: ClassVar[float] = 1e-8  # |d ell/d eta| at a root / (n - m)
     exact_traces: bool = False      # skip the interpolant (validation runs)
     seed: int = 0                   # Hutchinson probe seed
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
@@ -39,6 +40,12 @@ MATERN_GAUSSIAN_NU = 25.0
 # branch, whose np.unique sorts a copy and keeps an index per pair.
 DENSE_ASSEMBLY_COPIES = 3.0
 BESSEL_ASSEMBLY_COPIES = 6.0
+
+# Where available_memory reads the host's free memory and the limits of
+# this process's cgroup.
+_MEMINFO = "/proc/meminfo"
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
 
 # Scaled distances below this are treated as zero in the general Matern
 # branch; K_nu overflows against x**nu underflowing long before this matters.
@@ -129,6 +136,18 @@ def _matern_general(nu: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gaussian_like(kernel: CorrelationKernel) -> bool:
+    """Whether the kernel is evaluated as the Gaussian profile."""
+    return kernel.family == "gaussian" or (
+        kernel.family == "matern" and kernel.nu >= MATERN_GAUSSIAN_NU)
+
+
+def _bessel_matern(kernel: CorrelationKernel) -> bool:
+    """Whether the kernel is evaluated by the general Bessel branch."""
+    return (kernel.family == "matern" and not _gaussian_like(kernel)
+            and _half_integer_order(kernel.nu) is None)
+
+
 def kernel_profile(kernel: CorrelationKernel, distances: np.ndarray) -> np.ndarray:
     """Vectorized kernel values over an array of nonnegative distances."""
     d = np.asarray(distances, dtype=float)
@@ -142,19 +161,14 @@ def kernel_profile(kernel: CorrelationKernel, distances: np.ndarray) -> np.ndarr
     r = np.atleast_1d(d / kernel.alpha)
     if kernel.family == "exponential":
         values = np.exp(np.negative(r, out=r), out=r)
-    elif kernel.family == "gaussian":
+    elif _gaussian_like(kernel):
         values = np.exp(-0.5 * r * r)
     else:
-        nu = kernel.nu
-        if nu >= MATERN_GAUSSIAN_NU:
-            values = np.exp(-0.5 * r * r)
+        x = math.sqrt(2.0 * kernel.nu) * r
+        if _bessel_matern(kernel):
+            values = _matern_general(kernel.nu, x)
         else:
-            x = math.sqrt(2.0 * nu) * r
-            p = _half_integer_order(nu)
-            if p is not None:
-                values = _matern_half_integer(p, x)
-            else:
-                values = _matern_general(nu, x)
+            values = _matern_half_integer(_half_integer_order(kernel.nu), x)
     values = np.clip(values, 0.0, 1.0, out=values)
 
     kappa = kernel.taper_threshold
@@ -175,8 +189,7 @@ def taper_radius(kernel: CorrelationKernel) -> float:
         return math.inf
     if kernel.family == "exponential":
         return -kernel.alpha * math.log(kappa)
-    if kernel.family == "gaussian" or (
-            kernel.family == "matern" and kernel.nu >= MATERN_GAUSSIAN_NU):
+    if _gaussian_like(kernel):
         return kernel.alpha * math.sqrt(-2.0 * math.log(kappa))
     # Matern: monotone decreasing in distance; bisect on the untapered value.
     untapered = CorrelationKernel(kernel.family, kernel.alpha, kernel.nu, 0.0)
@@ -194,21 +207,75 @@ def taper_radius(kernel: CorrelationKernel) -> float:
     return hi
 
 
+def _read_stat(path: Path) -> dict[str, int]:
+    """The ``key value`` lines of a cgroup memory.stat file."""
+    return {key: int(value) for key, value in
+            (line.split() for line in path.read_text().splitlines())}
+
+
+def _working_set(directory: Path, usage: str, inactive: str) -> int:
+    """Memory charged to a cgroup, less its reclaimable inactive file
+    cache."""
+    stat = _read_stat(directory / "memory.stat")
+    return int((directory / usage).read_text()) - stat.get(inactive, 0)
+
+
+def _cgroup_headroom() -> int | None:
+    """Bytes left under the tightest memory limit of this process's cgroup
+    and its ancestors (cgroup v2 ``memory.max``, or v1
+    ``hierarchical_memory_limit``), measured against the working set;
+    None when no limit is set or none can be read."""
+    try:
+        with open(_PROC_CGROUP) as fh:
+            entries = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        return None
+    headroom = []
+    for entry in entries:
+        if len(entry) != 3:
+            continue
+        _, controllers, path = entry
+        parts = [part for part in path.split("/") if part]
+        try:
+            if controllers == "":
+                for depth in range(len(parts), 0, -1):
+                    level = Path(_CGROUP_ROOT, *parts[:depth])
+                    limit = (level / "memory.max").read_text().strip()
+                    if limit != "max":
+                        headroom.append(int(limit) - _working_set(
+                            level, "memory.current", "inactive_file"))
+            elif "memory" in controllers.split(","):
+                level = Path(_CGROUP_ROOT, "memory", *parts)
+                limit = _read_stat(level / "memory.stat")[
+                    "hierarchical_memory_limit"]
+                headroom.append(limit - _working_set(
+                    level, "memory.usage_in_bytes", "total_inactive_file"))
+        except (OSError, ValueError, KeyError):
+            continue
+    return min(headroom) if headroom else None
+
+
 def available_memory() -> int | None:
     """Bytes of memory available to a new allocation: MemAvailable from
-    /proc/meminfo, else the free physical pages; None when neither can be
-    read."""
+    /proc/meminfo (else the free physical pages), capped by the headroom
+    under this process's cgroup memory limit; None when none of these can
+    be read."""
+    host = None
     try:
-        with open("/proc/meminfo") as fh:
+        with open(_MEMINFO) as fh:
             for line in fh:
                 if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+                    host = int(line.split()[1]) * 1024
+                    break
     except (OSError, ValueError, IndexError):
         pass
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError):
-        return None
+    if host is None:
+        try:
+            host = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        except (OSError, ValueError):
+            pass
+    known = [v for v in (host, _cgroup_headroom()) if v is not None]
+    return max(min(known), 0) if known else None
 
 
 def require_dense_memory(n: int, copies: float, what: str) -> None:
@@ -225,10 +292,8 @@ def require_dense_memory(n: int, copies: float, what: str) -> None:
 
 
 def _assembly_copies(kernel: CorrelationKernel) -> float:
-    if (kernel.family == "matern" and kernel.nu < MATERN_GAUSSIAN_NU
-            and _half_integer_order(kernel.nu) is None):
-        return BESSEL_ASSEMBLY_COPIES
-    return DENSE_ASSEMBLY_COPIES
+    return (BESSEL_ASSEMBLY_COPIES if _bessel_matern(kernel)
+            else DENSE_ASSEMBLY_COPIES)
 
 
 def correlation_matrix(points: np.ndarray,

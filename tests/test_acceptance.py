@@ -186,10 +186,8 @@ def test_criterion_5_root_finder_convergence(reference):
 
     b = brackets[0]
     # pure bracket convergence: shrink to width 1e-6 in log10(eta)
-    root, iters = chandrupatla_root(g, b["t_lo"], b["t_hi"], x_tol=1e-6,
-                                    f_tol=0.0)
-    tight, _ = chandrupatla_root(g, b["t_lo"], b["t_hi"], x_tol=1e-9,
-                                 f_tol=0.0)
+    root, iters = chandrupatla_root(g, b["t_lo"], b["t_hi"], x_tol=1e-6)
+    tight, _ = chandrupatla_root(g, b["t_lo"], b["t_hi"], x_tol=1e-9)
     checks = [
         (len(brackets) >= 1, f"{len(brackets)} bracket(s) found"),
         (all(c < 10 for c in iter_counts),

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -261,6 +262,8 @@ class TestTable1Command:
         # poly:4 needs m=15 < 16 points; poly:5 needs m=21 and must fail
         assert "failed" in lines[6]
         assert lines[7].startswith("trig,")
+        header, *rows = csv.reader(lines)
+        assert all(len(row) == len(header) for row in rows)
 
 
 class TestBenchmarkCommand:
@@ -287,7 +290,6 @@ class TestBenchmarkCommand:
                     if r[2] == "profiled"}
         assert profiled[400] >= profiled[64]
 
-
     def test_cell_beyond_available_memory_is_recorded(self, tmp_path,
                                                       monkeypatch):
         import etafit.kernels
@@ -296,12 +298,17 @@ class TestBenchmarkCommand:
         out = tmp_path / "bench.csv"
         assert main(["benchmark", "--sizes", "64,144", "--out",
                      str(out)]) == 0
-        lines = out.read_text().strip().splitlines()[1:]
-        assert not any("failed" in line for line in lines
-                       if line.startswith("64,"))
-        refused = [line for line in lines if line.startswith("144,")]
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows)
+        outcome = header.index("outcome")
+        assert not any(row[outcome].startswith("failed")
+                       for row in rows if row[0] == "64")
+        refused = [row for row in rows if row[0] == "144"]
         assert len(refused) == 2
-        assert all("failed: dense K at n=144" in line for line in refused)
+        assert all(row[outcome].startswith("failed: dense K at n=144")
+                   for row in refused)
+
 
 class TestPlotdataCommand:
     def test_columns_finite_and_bounded(self, data_csv, tmp_path):

@@ -73,12 +73,12 @@ class TestChandrupatla:
     def test_iteration_budget_respected(self):
         with pytest.raises(ConvergenceError):
             chandrupatla_root(lambda x: x ** 3 - 2.0 * x - 5.0, 1.0, 3.0,
-                              x_tol=1e-300, f_tol=0.0, max_iter=2)
+                              x_tol=1e-300, max_iter=2)
 
-    def test_f_tol_stopping(self):
-        root, _ = chandrupatla_root(lambda x: x ** 3, -1.0, 2.0, x_tol=1e-15,
-                                    f_tol=1e-6)
-        assert abs(root ** 3) <= 1e-6
+    def test_exact_interior_zero_stops(self):
+        root, iters = chandrupatla_root(lambda x: x - 0.5, 0.0, 1.0,
+                                        x_tol=1e-15)
+        assert root == 0.5 and iters == 1
 
     def test_endpoint_root_detected(self):
         root, iters = chandrupatla_root(lambda x: x - 1.0, 1.0, 2.0)

@@ -343,3 +343,77 @@ class TestDenseMemoryGuard:
 
     def test_probe_reads_a_positive_byte_count(self):
         assert etafit.kernels.available_memory() > 0
+
+
+class TestAvailableMemoryProbe:
+    """The probe reads files laid out under tmp_path like /proc/meminfo,
+    /proc/self/cgroup and a cgroup v2 or v1 hierarchy."""
+
+    MIB = 2 ** 20
+
+    def layout(self, tmp_path, monkeypatch, cgroup_line, available_mib):
+        (tmp_path / "meminfo").write_text(
+            f"MemTotal: 99999999 kB\nMemAvailable: {available_mib * 1024} kB\n")
+        (tmp_path / "cgroup").write_text(cgroup_line + "\n")
+        root = tmp_path / "fs"
+        monkeypatch.setattr(etafit.kernels, "_MEMINFO",
+                            str(tmp_path / "meminfo"))
+        monkeypatch.setattr(etafit.kernels, "_PROC_CGROUP",
+                            str(tmp_path / "cgroup"))
+        monkeypatch.setattr(etafit.kernels, "_CGROUP_ROOT", str(root))
+        return root
+
+    def v2_level(self, directory, limit, current_mib, inactive_mib):
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "memory.max").write_text(f"{limit}\n")
+        (directory / "memory.current").write_text(
+            f"{current_mib * self.MIB}\n")
+        (directory / "memory.stat").write_text(
+            f"anon 1\ninactive_file {inactive_mib * self.MIB}\nactive_file 2\n")
+
+    def test_v2_limit_below_host_memory_caps_the_probe(self, tmp_path,
+                                                      monkeypatch):
+        root = self.layout(tmp_path, monkeypatch, "0::/job", 4096)
+        self.v2_level(root / "job", 1024 * self.MIB, 600, 100)
+        # 1024 MiB limit, 600 MiB charged of which 100 MiB reclaimable
+        assert etafit.kernels.available_memory() == 524 * self.MIB
+
+    def test_v2_ancestor_limit_counts(self, tmp_path, monkeypatch):
+        root = self.layout(tmp_path, monkeypatch, "0::/pod/job", 4096)
+        self.v2_level(root / "pod", 800 * self.MIB, 700, 0)
+        self.v2_level(root / "pod" / "job", "max", 300, 0)
+        assert etafit.kernels.available_memory() == 100 * self.MIB
+
+    def test_v2_without_limit_reads_host_memory(self, tmp_path, monkeypatch):
+        root = self.layout(tmp_path, monkeypatch, "0::/", 4096)
+        root.mkdir()
+        assert etafit.kernels.available_memory() == 4096 * self.MIB
+        self.layout(tmp_path, monkeypatch, "0::/job", 4096)
+        self.v2_level(root / "job", "max", 600, 0)
+        assert etafit.kernels.available_memory() == 4096 * self.MIB
+
+    def test_v1_hierarchical_limit_caps_the_probe(self, tmp_path,
+                                                 monkeypatch):
+        root = self.layout(
+            tmp_path, monkeypatch,
+            "5:devices:/\n4:memory:/jobs/job\n0::/", 4096)
+        level = root / "memory" / "jobs" / "job"
+        level.mkdir(parents=True)
+        (level / "memory.usage_in_bytes").write_text(f"{500 * self.MIB}\n")
+        (level / "memory.stat").write_text(
+            f"inactive_file 0\nhierarchical_memory_limit {2048 * self.MIB}\n"
+            f"total_inactive_file {200 * self.MIB}\n")
+        assert etafit.kernels.available_memory() == 1748 * self.MIB
+
+    def test_limit_exceeded_reads_zero(self, tmp_path, monkeypatch):
+        root = self.layout(tmp_path, monkeypatch, "0::/job", 4096)
+        self.v2_level(root / "job", 100 * self.MIB, 300, 0)
+        assert etafit.kernels.available_memory() == 0
+
+    def test_guard_refuses_under_a_cgroup_limit(self, tmp_path, monkeypatch):
+        root = self.layout(tmp_path, monkeypatch, "0::/job", 4096)
+        n = 300
+        self.v2_level(root / "job", 8 * n * n, 0, 0)
+        points = np.random.default_rng(2).uniform(size=(n, 2))
+        with pytest.raises(InputError, match="MiB of memory is available"):
+            correlation_matrix(points, CorrelationKernel("exponential", 0.1))
