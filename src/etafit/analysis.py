@@ -18,7 +18,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import InputError, ModelError, NumericError, SolverError
-from .kernels import CorrelationMatrix
+from .kernels import CorrelationMatrix, require_dense_memory
 from .model import GpModel, sparse_lu
 
 SPARSE_EIG_TOL = 1e-8
@@ -59,7 +59,8 @@ def spectrum_bounds(K, eigvals: np.ndarray | None = None) -> SpectrumSummary:
 
     Read off ``eigvals`` (ascending, such as a dense Solver's spectrum)
     when the spectrum is already known; otherwise one ``eigvalsh`` for
-    dense K, or ``eigsh`` for sparse K (shift-invert around 0 through
+    dense K (refused with InputError when the available memory cannot hold
+    its copy of K), or ``eigsh`` for sparse K (shift-invert around 0 through
     ``model.sparse_lu`` for lambda_min).  An indefinite sparse K raises
     SolverError, counted from the pivots of that factorization, before
     either eigensolve.
@@ -93,6 +94,7 @@ def spectrum_bounds(K, eigvals: np.ndarray | None = None) -> SpectrumSummary:
             raise NumericError(f"sparse eigensolve failed: {exc}") from None
         return SpectrumSummary(lam_min, lam_max)
     A = K.entries if is_corr else np.asarray(K, dtype=float)
+    require_dense_memory(A.shape[0], 1.0, "its eigensolve")
     try:
         lam = sla.eigvalsh(A, check_finite=False)
     except np.linalg.LinAlgError as exc:

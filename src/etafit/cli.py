@@ -342,7 +342,7 @@ def cmd_trace_interp(args) -> int:
     print(f"fitted tau interpolant: n={interp.n} nodes={list(interp.nodes)} "
           f"method={interp.method} cond={interp.cond:.3g}")
     if args.check:
-        exact_traces = ExactTraceProvider(K)
+        exact_traces = ExactTraceProvider(K, solver.eigvals)
         for e in np.logspace(-3, 3, 13):
             exact = exact_traces(e)
             approx = interp.n * eval_tau(interp, e)

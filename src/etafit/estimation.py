@@ -271,7 +271,8 @@ class EstimateConfig:
     The trace fields apply to sparse K only, where the traces are
     Hutchinson estimates and, unless ``exact_traces`` is set, an
     interpolant fitted from them at ``traces.DEFAULT_NODES`` in the same
-    run; the dense backend always uses exact traces.
+    run; both read one block Lanczos run on the probes per solver.  The
+    dense backend always uses exact traces.
 
     Each root search runs until its bracket is narrower than ``eta_tol``
     in log10(eta).  ``f_tol_scale`` is a constant, not a setting: it is
@@ -364,9 +365,10 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     With the dense solver (dense K) the spectrum and every trace are
     exact: they come from the eigenvalues of its one tridiagonal
     reduction, whose seconds the report gives as
-    ``diagnostics["timing"]["factor"]`` (0 on sparse K).  The CG solver
-    (sparse K) fits the trace interpolant from Hutchinson estimates
-    instead, unless ``config`` asks for exact traces.  Each root is
+    ``diagnostics["timing"]["factor"]`` (0 on sparse K).  On sparse K the
+    trace interpolant is fitted from Hutchinson estimates
+    (``Solver.probe_grams``) instead, unless ``config`` asks for exact
+    traces.  Each root is
     searched until its bracket is narrower than ``config.eta_tol`` in
     log10(eta).
     """
@@ -518,7 +520,8 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
         "counts": {"ell_evals": counters["ell"],
                    "deriv_evals": counters["deriv"],
                    "root_iters": n_root_iters,
-                   "lanczos_steps": solver.lanczos_steps},
+                   "lanczos_steps": solver.lanczos_steps,
+                   "probe_lanczos_steps": solver.probe_lanczos_steps},
         "jitter": solver.jitter,
         "timing": {"factor": solver.factor_s, "precompute": t_precompute,
                    "root_find": total - t_precompute, "total": total},

@@ -51,8 +51,9 @@ class LikelihoodEval:
 def trace_provider(solver: Solver, seed: int = 0):
     """The trace route of the solver's backend: exact traces from the
     dense solver's spectrum (the eigenvalues of its tridiagonal T),
-    Hutchinson estimates with DEFAULT_HUTCHINSON_VECTORS probes on the CG
-    path (no dense matrix)."""
+    Hutchinson estimates with DEFAULT_HUTCHINSON_VECTORS probes on sparse
+    K, read by Gauss quadrature from one block Lanczos run on the probes
+    (no dense matrix)."""
     if solver.eigvals is None:
         return HutchinsonTraceProvider(solver.K, solver,
                                        DEFAULT_HUTCHINSON_VECTORS, seed)
@@ -80,7 +81,7 @@ def _pieces(model: GpModel, eta: float, solver: Solver,
     if ratio <= B.shape[0] * np.finfo(float).eps:
         raise ModelError(f"X' K_eta^{{-1}} X is singular at eta={eta} "
                          f"(Cholesky pivot ratio {ratio:.1e})")
-    # on the CG path G_1 = R'S is symmetric only to solver tolerance; taking
+    # G_1 = E'(T + eta I)^-1 E is symmetric only to rounding; taking
     # b from row m makes z'Mz = G_1[m, m] - b' B^-1 b a Schur complement
     beta = sla.cho_solve(B_factor, G[0][m, :m], check_finite=False)
     v = np.append(-beta, 1.0)
@@ -196,7 +197,7 @@ def profile_ell(model: GpModel, eta: float, solver: Solver,
     ``traces`` is a provider callable (eta, power) -> trace(K_eta^{-power});
     when omitted, the solver's own route is used (``trace_provider``):
     exact traces from the dense solver's spectrum, Hutchinson estimates
-    for a CG solver.
+    on sparse K.
     """
     return _evaluate(model, eta, solver, traces, want_ell=True,
                      want_first=True, want_second=second_order)

@@ -1,14 +1,13 @@
 """The problem instance and the numerical backend behind it: solves and
 log-determinants of K_eta = K + eta I.
 
-The storage of K picks the backend, and both read the likelihood's Gram
-matrices [X | z]' K_eta^-p [X | z] from a banded T by one banded Cholesky
-per eta.  Dense K is reduced once to tridiagonal form K = Q T Q' by
-Householder reflections; the eigenvalues of T give the log-determinants
-and traces.  On sparse K, T comes from one block Lanczos run on [X | z] per
-model (Gauss quadrature), ``Solver.solve`` is one block
-conjugate-gradient run per call over all right-hand sides at once (the
-trace probes), and log-determinants come from a symmetric-mode SuperLU
+The storage of K picks the backend, and both read Gram matrices
+B' K_eta^-p B of a block B (the likelihood's [X | z], or the Rademacher
+trace probes) from a banded T by one banded Cholesky per eta.  Dense K is
+reduced once to tridiagonal form K = Q T Q' by Householder reflections;
+the eigenvalues of T give the log-determinants and traces.  On sparse K,
+T comes from one block Lanczos run on the block (Gauss quadrature), and
+solves and log-determinants come from a symmetric-mode SuperLU
 factorization with a minimum-degree ordering.  The M-matrix algebra built
 on the Gram matrices lives in ``likelihood``.
 """
@@ -82,37 +81,38 @@ class HyperParams:
 
 class Solver:
     """Solves and log-determinants of K_eta = K + eta I for one correlation
-    matrix; ``K.storage`` picks the backend (``method``, read-only).
+    matrix; ``K.storage`` picks the backend.
 
-    Dense storage ("dense") reduces K = Q T Q' to a symmetric tridiagonal
-    T once (LAPACK ``dsytrd``; Golub & Van Loan, *Matrix Computations*,
-    4th ed., section 8.3), in ``factor_s`` seconds.  Q is kept as its
-    Householder reflectors and never formed, and no eigenvector is
-    computed.  ``eigvals``, the spectrum of T from ``dsterf``, gives
+    Dense storage reduces K = Q T Q' to a symmetric tridiagonal T once
+    (LAPACK ``dsytrd``; Golub & Van Loan, *Matrix Computations*, 4th ed.,
+    section 8.3), in ``factor_s`` seconds.  Q is kept as its Householder
+    reflectors and never formed, and no eigenvector is computed.
+    ``eigvals``, the spectrum of T from ``dsterf``, gives
     log det K_eta = sum log(lam + eta) and trace(K_eta^-p) =
-    sum (lam + eta)^-p.  ``grams`` rotates C = Q'[X | z] once per model
-    and reads the Gram matrices from one banded Cholesky of T + eta I per
-    eta, the code that also serves the sparse Lanczos T
+    sum (lam + eta)^-p.  ``grams`` and ``probe_grams`` rotate a block
+    C = Q'B once and read its Gram matrices from one banded Cholesky of
+    T + eta I per eta, the code that also serves the sparse Lanczos T
     (``_banded_grams``); ``solve`` is Q (T + eta I)^-1 Q' B.  T and
     ``eigvals`` carry ``jitter`` (see ``spectral_jitter``), so every one
     of these describes K + jitter I.
 
-    Sparse storage ("cg") works on the stored matrix only.  ``grams``
-    runs block Lanczos on [X | z] once per model (``BlockLanczos``; its
-    step count is ``lanczos_steps``), ``solve`` runs conjugate gradients,
-    one block run over all columns of each right-hand side, and
-    log-determinants come from the pivots of ``sparse_lu`` (symmetric-mode
-    SuperLU, minimum-degree ordering of K + K').  ``tol`` and ``max_iter``
-    (the budget of CG iterations or Lanczos steps) apply here only.  It
-    has no spectrum (``eigvals`` is None), applies no jitter and factors
-    nothing up front (``factor_s`` is 0), and ``grams`` needs K itself
-    positive definite, since the Lanczos run converges at eta = 0.
+    Sparse storage works on the stored matrix only.  ``grams`` and
+    ``probe_grams`` run block Lanczos on their block once
+    (``BlockLanczos``; the step counts are ``lanczos_steps`` and
+    ``probe_lanczos_steps``), and ``solve`` and ``logdet`` use one
+    ``sparse_lu`` (symmetric-mode SuperLU, minimum-degree ordering of
+    K + K') of K_eta.  ``tol`` and ``max_iter`` (the budget of Lanczos
+    steps) apply here only.  It has no spectrum (``eigvals`` is None),
+    applies no jitter and factors nothing up front (``factor_s`` is 0),
+    and the Lanczos runs need K itself positive definite, since they
+    converge at eta = 0.
 
     ``grams`` gives the likelihood everything it needs from [X | z] as
     (m+1) x (m+1) Gram matrices, so no n x n work and no n-length vector
     leaves the solver per eta.  A solver is bound to one correlation
-    matrix, and keeps the per-model state (the rotated C or the Lanczos
-    run) of the model it last served.
+    matrix, and keeps two Krylov states (the rotated C or the Lanczos
+    run): that of the model ``grams`` last served, and that of the probe
+    block ``probe_grams`` last served.
     """
 
     def __init__(self, K: CorrelationMatrix, *, tol: float = 1e-10,
@@ -125,6 +125,7 @@ class Solver:
         self.factor_s = 0.0
         self._band = None
         self._per_model = None
+        self._probes = None
         if K.storage == "dense":
             started = time.perf_counter()
             self._tridiagonalize(K.toarray())
@@ -154,39 +155,61 @@ class Solver:
             .reshape((n, n - 1), order="F")
 
     @property
-    def method(self) -> str:
-        """"dense" (tridiagonal) or "cg", as set by the storage of K."""
-        return "cg" if self._band is None else "dense"
-
-    @property
     def lanczos_steps(self) -> int:
         """Block Lanczos steps behind the model ``grams`` last served: 0 on
         dense K and before the first call."""
-        if self._band is not None or self._per_model is None:
-            return 0
-        return self._per_model[1].steps
+        return self._steps(self._per_model)
+
+    @property
+    def probe_lanczos_steps(self) -> int:
+        """Block Lanczos steps behind the probe block ``probe_grams`` last
+        served: 0 on dense K and before the first call."""
+        return self._steps(self._probes)
+
+    def _steps(self, slot) -> int:
+        return 0 if self._band is not None or slot is None else slot[1].steps
 
     def grams(self, model: GpModel, eta: float, count: int) -> list:
         """[G_1, ..., G_count] with G_p = R' K_eta^{-p} R, R = [X | z].
 
         Dense: C = Q'R is rotated once for the model the solver last
-        served, and G_p = C' (T + eta I)^-p C.  CG: one block Lanczos run
-        on R per model (``BlockLanczos``), and G_p is its Gauss-quadrature
-        form.  Either way one banded Cholesky per eta (``_banded_grams``),
-        O(n m^2) dense and O(k m^2) on the Lanczos T of k steps.
+        served, and G_p = C' (T + eta I)^-p C.  Sparse: one block Lanczos
+        run on R per model (``BlockLanczos``), and G_p is its
+        Gauss-quadrature form.  Either way one banded Cholesky per eta
+        (``_banded_grams``), O(n m^2) dense and O(k m^2) on the Lanczos T
+        of k steps.
         """
         _check_eta(eta)
         if self._per_model is None or self._per_model[0] is not model:
-            self._per_model = (model, self._per_model_state(model))
-        if self._band is None:
-            return self._per_model[1].grams(eta, count)
-        return _banded_grams(self._band, self._per_model[1], eta, count)
+            R = np.column_stack([model.X.entries, model.z])
+            self._per_model = (model, self._krylov_state(R))
+        return self._grams(self._per_model[1], eta, count)
 
-    def _per_model_state(self, model: GpModel):
-        R = np.column_stack([model.X.entries, model.z])
+    def probe_grams(self, n_vectors: int, seed: int, eta: float,
+                    count: int) -> list:
+        """[G_1, ..., G_count] with G_p = V' K_eta^{-p} V for the Rademacher
+        probes V = ``rademacher_probes(n, n_vectors, seed)``, read like
+        ``grams``: diag G_1 holds the Hutchinson samples v' K_eta^-1 v and
+        diag G_2 the samples ||K_eta^-1 v||^2.  On sparse K this is
+        stochastic Lanczos quadrature (Ubaru, Chen & Saad 2017, *SIMAX*
+        38:1075).  V's Krylov state is built on the first call for a
+        given (n_vectors, seed) and serves every eta after it.
+        """
+        _check_eta(eta)
+        if self._probes is None or self._probes[0] != (n_vectors, seed):
+            V = rademacher_probes(self.K.n, n_vectors, seed)
+            self._probes = ((n_vectors, seed), self._krylov_state(V))
+        return self._grams(self._probes[1], eta, count)
+
+    def _krylov_state(self, B: np.ndarray):
         if self._band is None:
-            return BlockLanczos(self.K.entries, R, self.tol, self.max_iter)
-        return self._rotate(R, "T")
+            return BlockLanczos(self.K.entries, B, self.tol, self.max_iter)
+        return self._rotate(B, "T")
+
+    def _grams(self, state, eta: float, count: int) -> list:
+        if self._band is None:
+            return state.grams(eta, count)
+        return _banded_grams(self._band, state, eta, count)
 
     def _rotate(self, B: np.ndarray, trans: str) -> np.ndarray:
         """Q'B (``trans`` "T") or QB ("N") for an n x k array B."""
@@ -199,60 +222,18 @@ class Solver:
         return out
 
     def solve(self, eta: float, B: np.ndarray) -> np.ndarray:
-        """Return K_eta^{-1} B (to solver tolerance on the CG path)."""
+        """Return K_eta^{-1} B: one banded Cholesky of T + eta I on dense
+        K, one ``sparse_lu`` of K_eta on sparse K.  A K_eta that is not
+        positive definite raises SolverError."""
         _check_eta(eta)
         B = np.asarray(B, dtype=float)
         if self._band is None:
-            return self._solve_cg(eta, B)
+            return self._sparse_factor(eta)[0].solve(B)
         B2 = B[:, None] if B.ndim == 1 else B
         L = _banded_cholesky(self._band, eta)
         X = self._rotate(sla.cho_solve_banded(L, self._rotate(B2, "T"),
                                               check_finite=False), "N")
         return X[:, 0] if B.ndim == 1 else X
-
-    def _solve_cg(self, eta: float, B: np.ndarray) -> np.ndarray:
-        """One conjugate-gradient run over all columns of B: each iteration
-        makes one sparse product K @ P, with per-column step sizes.  A
-        column is frozen once its residual falls below tol * ||b|| (the
-        stopping rule of ``scipy.sparse.linalg.cg``); a zero column
-        returns 0 without iterating."""
-        K = self.K.entries
-        single = B.ndim == 1
-        B2 = B[:, None] if single else B
-        out = np.zeros_like(B2)
-        bnorm = np.linalg.norm(B2, axis=0)
-        target = self.tol * bnorm
-        live = np.flatnonzero(bnorm > 0)
-        X = out[:, live]
-        R = B2[:, live]
-        P = R.copy()
-        rho = _coldot(R, R)
-        for it in range(self.max_iter + 1):
-            done = np.sqrt(rho) < target[live]
-            if done.any():
-                out[:, live[done]] = X[:, done]
-                keep = ~done
-                live, X, R, P, rho = (live[keep], X[:, keep], R[:, keep],
-                                      P[:, keep], rho[keep])
-            if live.size == 0:
-                break
-            if it == self.max_iter or not np.all(np.isfinite(rho)):
-                A = K @ X + eta * X - B2[:, live]
-                resid = float(np.max(np.linalg.norm(A, axis=0)))
-                raise SolverError(
-                    f"CG did not converge for eta={eta}: stopped after {it} "
-                    f"of {self.max_iter} iterations (residual {resid:.3e}, "
-                    f"target {float(np.max(target[live])):.3e})")
-            Q = K @ P
-            Q += eta * P
-            alpha = rho / _coldot(P, Q)
-            X += alpha * P
-            R -= alpha * Q
-            rho_next = _coldot(R, R)
-            P *= rho_next / rho
-            P += R
-            rho = rho_next
-        return out[:, 0] if single else out
 
     def logdet(self, eta: float) -> float:
         """log det(K_eta); from the spectrum on the dense path, from the
@@ -262,12 +243,17 @@ class Solver:
         _check_eta(eta)
         if self.eigvals is not None:
             return float(np.sum(np.log(self.eigvals + eta)))
+        return float(np.sum(np.log(self._sparse_factor(eta)[1])))
+
+    def _sparse_factor(self, eta: float):
+        """``sparse_lu`` of K_eta and its pivots, checked positive definite
+        by them."""
         lu = sparse_lu(self.K.entries, eta)
         pivots = lu.U.diagonal()
         if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0)):
             raise SolverError(
-                f"K + {eta} I is not positive definite (sparse logdet)")
-        return float(np.sum(np.log(pivots)))
+                f"K + {eta} I is not positive definite (sparse LU)")
+        return lu, pivots
 
 
 def _check_eta(eta: float) -> None:
@@ -275,9 +261,14 @@ def _check_eta(eta: float) -> None:
         raise InputError(f"eta must be a finite nonnegative real, got {eta}")
 
 
-def _coldot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Column-wise inner products of two n x k arrays."""
-    return np.einsum("ij,ij->j", A, B)
+def rademacher_probes(n: int, n_vectors: int, seed: int) -> np.ndarray:
+    """n x n_vectors Rademacher probes, one column per generator spawned
+    off the master seed, so column i does not depend on how many are
+    drawn or in which order they are used."""
+    seqs = np.random.SeedSequence(seed).spawn(n_vectors)
+    return np.column_stack([
+        np.random.default_rng(seq).integers(0, 2, size=n) * 2.0 - 1.0
+        for seq in seqs])
 
 
 class BlockLanczos:

@@ -1,6 +1,6 @@
 """Trace providers, callables (eta, power) -> trace((K + eta I)^-power):
-exact sums over the spectrum of dense K, Hutchinson estimates through a
-solver, and the fractional-power interpolant fitted from either for cheap
+exact sums over the spectrum of dense K, Hutchinson estimates read from
+one Krylov run of a solver on the probe block, and the fractional-power interpolant fitted from either for cheap
 repeated evaluation.  ``likelihood.trace_provider`` picks the route that
 matches the solver's backend.
 
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InputError, NumericError
-from .kernels import CorrelationMatrix
+from .kernels import CorrelationMatrix, require_dense_memory
 from .model import spectral_jitter
 
 MAX_INTERPOLANT_NODES = 8
@@ -36,27 +36,19 @@ def _n_of(K) -> int:
     return K.shape[0]
 
 
-def _rademacher_probes(n: int, n_vectors: int, seed: int) -> np.ndarray:
-    """n x n_vectors Rademacher probes, one column per generator spawned
-    off the master seed, so column i does not depend on how many are
-    drawn or in which order they are used."""
-    seqs = np.random.SeedSequence(seed).spawn(n_vectors)
-    return np.column_stack([
-        np.random.default_rng(seq).integers(0, 2, size=n) * 2.0 - 1.0
-        for seq in seqs])
-
-
 def trace_inv_hutchinson(K, eta: float, solver, n_vectors: int,
                          seed: int = 0) -> tuple[float, float]:
     """Rademacher-probe estimate of trace(K_eta^{-1}) with its standard error.
 
-    Deterministic for a given seed (see ``_rademacher_probes``); all probes
-    are solved by one ``solver.solve`` call.
+    ``solver`` is a ``model.Solver`` of K.  Deterministic for a given seed
+    (see ``model.rademacher_probes``); the samples v' K_eta^-1 v are the
+    diagonal of the probes' G_1 (``Solver.probe_grams``), so the probe
+    block's Krylov state is built once per solver and every later eta
+    costs one banded Cholesky.
     """
     if n_vectors < 2:
         raise InputError("Hutchinson needs at least 2 probe vectors")
-    V = _rademacher_probes(_n_of(K), n_vectors, seed)
-    samples = np.einsum("ij,ij->j", V, solver.solve(eta, V))
+    samples = np.diag(solver.probe_grams(n_vectors, seed, eta, 1)[0])
     estimate = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(n_vectors))
     return estimate, stderr
@@ -172,6 +164,8 @@ class ExactTraceProvider:
     ``eigvals`` is a spectrum already known, such as a dense Solver's
     ``eigvals``.  Without it the full spectrum of K is computed once (K is
     densified) and shifted by the solver's jitter policy: the dense oracle.
+    It raises InputError up front when the available memory cannot hold
+    the dense copy of sparse K and the eigensolver's own copy.
     """
 
     method = "exact"
@@ -180,6 +174,8 @@ class ExactTraceProvider:
     def __init__(self, K, eigvals: np.ndarray | None = None):
         self.K = K
         if eigvals is None:
+            copies = 2.0 if K.storage == "sparse" else 1.0
+            require_dense_memory(K.n, copies, "its dense eigensolve")
             try:
                 eigvals = sla.eigvalsh(K.toarray(), check_finite=False)
             except np.linalg.LinAlgError as exc:
@@ -194,7 +190,9 @@ class ExactTraceProvider:
 
 
 class HutchinsonTraceProvider:
-    """Stochastic provider for sparse paths; power 2 uses ||K_eta^{-1} v||^2."""
+    """Stochastic provider for sparse paths: power 1 is
+    ``trace_inv_hutchinson``, power 2 the mean of ||K_eta^{-1} v||^2, the
+    diagonal of the probes' G_2 (``Solver.probe_grams``)."""
 
     method = "hutchinson"
 
@@ -209,9 +207,8 @@ class HutchinsonTraceProvider:
         if power == 1:
             return trace_inv_hutchinson(self.K, eta, self.solver,
                                         self.n_vectors, self.seed)[0]
-        V = _rademacher_probes(_n_of(self.K), self.n_vectors, self.seed)
-        W = self.solver.solve(eta, V)
-        return float(np.mean(np.einsum("ij,ij->j", W, W)))
+        G2 = self.solver.probe_grams(self.n_vectors, self.seed, eta, 2)[1]
+        return float(np.mean(np.diag(G2)))
 
 
 class InterpolantTraceProvider:

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import etafit.kernels
 from etafit.cli import main, parse_basis, parse_kernel, parse_pair
 from etafit.datagen import generate_synthetic, load_dataset, save_dataset
 from etafit.design import BasisSpec, build_design
@@ -351,4 +353,29 @@ class TestTraceInterpCommand:
                     "seed"):
             assert key in payload
         assert payload["weights"][0] == 1.0
+        assert "rel_err" in capsys.readouterr().out
+
+    def test_check_on_sparse_K_refused_beyond_available_memory(
+            self, data_csv, tmp_path, monkeypatch, capsys):
+        # the exact traces of --check densify K; the guard refuses that
+        # before two n x n arrays are allocated
+        n = load_dataset(data_csv).points.shape[0]
+        monkeypatch.setattr(etafit.kernels, "available_memory",
+                            lambda: int(8 * 1.5 * n ** 2))
+        args = ["trace-interp", "--data", str(data_csv), "--kernel",
+                "exp:0.1:taper=0.05", "--nodes", "1,10",
+                "--out", str(tmp_path / "interp.json")]
+        assert main(args) == 0
+        assert main(args + ["--check"]) == 2
+        assert "dense eigensolve" in capsys.readouterr().err
+
+    def test_check_on_dense_K_reads_the_solver_spectrum(
+            self, data_csv, tmp_path, monkeypatch, capsys):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("second eigensolve of dense K")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", no_eigensolve)
+        rc = main(["trace-interp", "--data", str(data_csv), "--nodes",
+                   "1,10", "--check", "--out", str(tmp_path / "i.json")])
+        assert rc == 0
         assert "rel_err" in capsys.readouterr().out

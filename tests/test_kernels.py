@@ -341,6 +341,37 @@ class TestDenseMemoryGuard:
         with pytest.raises(InputError, match="tridiagonal reduction"):
             Solver(K)
 
+    def test_dense_oracle_refused_beyond_available_memory(self, monkeypatch):
+        from etafit.kernels import CorrelationMatrix
+        from etafit.traces import ExactTraceProvider
+        K = correlation_matrix(self.points(), CorrelationKernel(
+            "exponential", 0.01, taper_threshold=0.05))
+        assert K.storage == "sparse"
+        # the dense copy of sparse K and the eigensolver's own copy
+        self.limit(monkeypatch, 1.9)
+        with pytest.raises(InputError, match="dense eigensolve"):
+            ExactTraceProvider(K)
+        self.limit(monkeypatch, 2.0)
+        ExactTraceProvider(K)
+        # dense K is already stored: only the eigensolver's copy
+        dense = CorrelationMatrix(K.toarray(), "dense", K.n)
+        self.limit(monkeypatch, 0.9)
+        with pytest.raises(InputError, match="dense eigensolve"):
+            ExactTraceProvider(dense)
+        self.limit(monkeypatch, 1.0)
+        ExactTraceProvider(dense)
+
+    def test_spectrum_eigensolve_refused_beyond_available_memory(
+            self, monkeypatch):
+        from etafit.analysis import spectrum_bounds
+        K = correlation_matrix(self.points(),
+                               CorrelationKernel("exponential", 0.1))
+        self.limit(monkeypatch, 0.9)
+        with pytest.raises(InputError, match="eigensolve"):
+            spectrum_bounds(K)
+        self.limit(monkeypatch, 1.0)
+        spectrum_bounds(K)
+
     def test_probe_reads_a_positive_byte_count(self):
         assert etafit.kernels.available_memory() > 0
 

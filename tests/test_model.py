@@ -90,12 +90,10 @@ class TestSolver:
         dense = correlation_matrix(np.random.default_rng(0).uniform(size=(8, 2)),
                                    CorrelationKernel("exponential", 0.1))
         solver = Solver(dense)
-        assert solver.method == "dense" and solver.eigvals is not None
+        assert solver.K.storage == "dense" and solver.eigvals is not None
         entries = sparse.identity(10, format="csr")
         solver = Solver(CorrelationMatrix(entries, "sparse", 10))
-        assert solver.method == "cg" and solver.eigvals is None
-        with pytest.raises(AttributeError):
-            solver.method = "dense"
+        assert solver.K.storage == "sparse" and solver.eigvals is None
         with pytest.raises(TypeError):
             Solver(dense, "cg")
 

@@ -1,12 +1,13 @@
-"""End-to-end coverage of the sparse/tapered route: block CG solves,
-Hutchinson-backed trace interpolation, sparse log-determinants, and the
+"""End-to-end coverage of the sparse/tapered route: block Lanczos Gram
+matrices, Hutchinson traces by Lanczos quadrature on the probes and the
+interpolant fitted from them, SuperLU solves and log-determinants, and the
 iterative spectrum bounds."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
+import etafit.model
 from etafit.analysis import spectrum_bounds
 from etafit.datagen import generate_synthetic
 from etafit.design import BasisSpec, build_design
@@ -16,9 +17,10 @@ from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
 from etafit.likelihood import (d2_ell_deta2, d_ell_deta, profile_ell,
                                sigma2_hat)
-from etafit.model import GpModel, Solver
+from etafit.model import (BlockLanczos, GpModel, Solver, rademacher_probes,
+                          sparse_lu)
 from etafit.traces import (DEFAULT_HUTCHINSON_VECTORS, ExactTraceProvider,
-                           HutchinsonTraceProvider)
+                           HutchinsonTraceProvider, trace_inv_hutchinson)
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +33,10 @@ def sparse_problem():
 
 
 class TestSparseEstimation:
-    def test_matrix_is_sparse_and_solver_is_cg(self, sparse_problem):
+    def test_matrix_is_sparse_and_solver_has_no_spectrum(self,
+                                                         sparse_problem):
         assert sparse_problem.K.storage == "sparse"
-        assert Solver(sparse_problem.K).method == "cg"
+        assert Solver(sparse_problem.K).eigvals is None
 
     def test_end_to_end_estimate(self, sparse_problem):
         report = estimate_variances(sparse_problem)
@@ -80,33 +83,43 @@ class TestSparseEstimation:
                 assert getattr(ev_cg, field) == pytest.approx(
                     getattr(ev_dense, field), rel=1e-8), field
 
-    def test_only_probe_blocks_are_solved(self, sparse_problem,
-                                          monkeypatch):
-        # the Gram matrices of [X | z] come from the Lanczos run, so every
-        # CG solve of a fit is a block of Hutchinson probes
-        widths = []
-        real = Solver.solve
+    @pytest.mark.parametrize("exact_traces", [False, True],
+                             ids=["interpolant", "exact_traces"])
+    def test_fit_makes_no_solve_and_two_lanczos_runs(self, sparse_problem,
+                                                     monkeypatch,
+                                                     exact_traces):
+        # the Gram matrices of [X | z] and every probe trace come from one
+        # block Lanczos run each, so a fit solves nothing
+        runs = []
 
-        def recording(self, eta, B):
-            widths.append(np.shape(B)[1])
-            return real(self, eta, B)
+        class Recording(BlockLanczos):
+            def __init__(self, K, R, tol, max_iter):
+                runs.append(R.shape[1])
+                super().__init__(K, R, tol, max_iter)
 
-        monkeypatch.setattr(Solver, "solve", recording)
-        report = estimate_variances(sparse_problem)
-        assert widths
-        assert set(widths) == {DEFAULT_HUTCHINSON_VECTORS}
-        assert report.diagnostics["counts"]["lanczos_steps"] > 0
+        def no_solve(self, eta, B):
+            raise AssertionError("Solver.solve called in a sparse fit")
+
+        monkeypatch.setattr(etafit.model, "BlockLanczos", Recording)
+        monkeypatch.setattr(Solver, "solve", no_solve)
+        report = estimate_variances(
+            sparse_problem, config=EstimateConfig(exact_traces=exact_traces))
+        assert sorted(runs) == [sparse_problem.m + 1,
+                                DEFAULT_HUTCHINSON_VECTORS]
+        counts = report.diagnostics["counts"]
+        assert counts["lanczos_steps"] > 0
+        assert counts["probe_lanczos_steps"] > 0
 
     def test_default_traces_on_cg_path_never_densify(self, sparse_problem,
                                                      monkeypatch):
-        # without a provider, a CG solver uses its own Hutchinson route;
+        # without a provider, a sparse solver uses its own Hutchinson route;
         # it must never form the dense n x n matrix
         solver = Solver(sparse_problem.K)
         hutchinson = HutchinsonTraceProvider(
             sparse_problem.K, solver, DEFAULT_HUTCHINSON_VECTORS, 0)
 
         def densify(self):
-            raise AssertionError("K.toarray() called on the CG path")
+            raise AssertionError("K.toarray() called on the sparse path")
 
         monkeypatch.setattr(CorrelationMatrix, "toarray", densify)
         for eta in (0.1, 3.0):
@@ -116,32 +129,22 @@ class TestSparseEstimation:
                 sparse_problem, eta, solver, hutchinson)
 
 
-class TestBlockCg:
+class TestSparseSolve:
     @pytest.mark.parametrize("eta", [0.0, 1e-3, 2.0])
-    def test_matches_per_column_scipy_cg(self, sparse_problem, eta):
+    def test_matches_dense_solve(self, sparse_problem, eta):
         n = sparse_problem.n
         rng = np.random.default_rng(7)
         B = np.column_stack([sparse_problem.z, sparse_problem.X.entries,
                              np.zeros(n), rng.standard_normal((n, 3))])
-        solver = Solver(sparse_problem.K)
-        got = solver.solve(eta, B)
-        A = (sparse_problem.K.entries
-             + eta * sparse.identity(n, format="csr"))
-        bnorm = np.linalg.norm(B, axis=0)
+        got = Solver(sparse_problem.K).solve(eta, B)
+        want = np.linalg.solve(sparse_problem.K.toarray() + eta * np.eye(n),
+                               B)
         for j in range(B.shape[1]):
-            if bnorm[j] == 0.0:
-                assert np.all(got[:, j] == 0.0)
-                continue
-            ref, info = spla.cg(A, B[:, j], rtol=solver.tol,
-                                maxiter=solver.max_iter)
-            assert info == 0
-            assert np.linalg.norm(got[:, j] - ref) <= \
-                1e-10 * np.linalg.norm(ref)
-        resid = np.linalg.norm(A @ got - B, axis=0)
-        assert np.all(resid <= solver.tol * bnorm)
+            assert np.linalg.norm(got[:, j] - want[:, j]) <= \
+                1e-10 * np.linalg.norm(want[:, j]), j
 
-    def test_zero_columns_need_no_iteration(self, sparse_problem):
-        solver = Solver(sparse_problem.K, max_iter=0)
+    def test_zero_columns_solve_to_zero(self, sparse_problem):
+        solver = Solver(sparse_problem.K)
         B = np.zeros((sparse_problem.n, 3))
         np.testing.assert_array_equal(solver.solve(0.5, B), B)
 
@@ -232,11 +235,53 @@ def duplicate_point_K():
                                                      taper_threshold=0.05))
 
 
+class TestProbeTraces:
+    """Hutchinson traces on sparse K, read from one block Lanczos run on
+    the probes, against the same probes solved one by one."""
+
+    def test_match_per_vector_superlu_solves(self, sparse_problem):
+        K = sparse_problem.K
+        solver = Solver(K)
+        provider = HutchinsonTraceProvider(K, solver,
+                                           DEFAULT_HUTCHINSON_VECTORS, 0)
+        V = rademacher_probes(K.n, DEFAULT_HUTCHINSON_VECTORS, 0)
+        for eta in (0.0, 1e-3, 1.0, 16.8, 1e3):
+            lu = sparse_lu(K.entries, eta)
+            W = np.column_stack([lu.solve(v) for v in V.T])
+            want1 = np.mean(np.einsum("ij,ij->j", V, W))
+            want2 = np.mean(np.einsum("ij,ij->j", W, W))
+            got1 = trace_inv_hutchinson(K, eta, solver,
+                                        DEFAULT_HUTCHINSON_VECTORS, 0)[0]
+            assert abs(got1 - want1) <= 1e-10 * want1, eta
+            assert abs(provider(eta, 1) - want1) <= 1e-10 * want1, eta
+            assert abs(provider(eta, 2) - want2) <= 1e-10 * want2, eta
+
+    def test_one_probe_run_per_solver(self, sparse_problem):
+        solver = Solver(sparse_problem.K)
+        assert solver.probe_lanczos_steps == 0
+        trace_inv_hutchinson(sparse_problem.K, 0.0, solver, 20, seed=3)
+        run = solver._probes[1]
+        for eta in (1e-3, 2.0, 1e3):
+            trace_inv_hutchinson(sparse_problem.K, eta, solver, 20, seed=3)
+            HutchinsonTraceProvider(sparse_problem.K, solver, 20, 3)(eta, 2)
+        assert solver._probes[1] is run
+        assert solver.probe_lanczos_steps == run.steps > 0
+        # a model's Gram matrices use the other slot
+        solver.grams(sparse_problem, 1.0, 2)
+        assert solver._probes[1] is run
+        assert solver.lanczos_steps > 0
+        dense = Solver(CorrelationMatrix(sparse_problem.K.toarray(), "dense",
+                                         sparse_problem.K.n))
+        trace_inv_hutchinson(dense.K, 1.0, dense, 20, seed=3)
+        assert dense.probe_lanczos_steps == 0
+
+
 class TestSolverErrors:
-    def test_cg_iteration_budget(self, sparse_problem):
-        solver = Solver(sparse_problem.K, tol=1e-14, max_iter=2)
-        with pytest.raises(SolverError, match="residual"):
-            solver.solve(1e-4, sparse_problem.z)
+    def test_probe_step_budget(self, sparse_problem):
+        solver = Solver(sparse_problem.K, max_iter=2)
+        with pytest.raises(SolverError, match="stopped after 2 of 2 steps"):
+            trace_inv_hutchinson(sparse_problem.K, 1e-4, solver,
+                                 DEFAULT_HUTCHINSON_VECTORS)
 
     def test_singular_logdet_raises_solver_error(self):
         K = duplicate_point_K()
@@ -263,6 +308,16 @@ class TestSolverErrors:
         A = entries.toarray() + np.eye(n)
         assert Solver(K).logdet(1.0) == pytest.approx(
             np.linalg.slogdet(A)[1], rel=1e-12)
+
+    def test_indefinite_probe_traces_raise_solver_error(self):
+        # like the Gram matrices, the probe traces need K itself positive
+        # definite, even when K + eta I is
+        n = 10
+        K = CorrelationMatrix(sparse.diags([0.8, 1.0, 0.8], [-1, 0, 1],
+                                           shape=(n, n), format="csr"),
+                              "sparse", n)
+        with pytest.raises(SolverError, match="K \\+ 0.0 I is not positive"):
+            trace_inv_hutchinson(K, 1.0, Solver(K), 4)
 
     def test_indefinite_grams_raise_solver_error(self):
         # the Lanczos run converges at eta = 0, so it needs K itself

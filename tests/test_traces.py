@@ -86,8 +86,8 @@ class TestHutchinson:
         c = trace_inv_hutchinson(K, 0.5, solver, 10, seed=43)
         assert a != c
 
-    @pytest.mark.parametrize("method", ["dense", "cg"])
-    def test_block_probes_match_per_vector_loop(self, method):
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_block_probes_match_per_vector_loop(self, storage):
         # reference: one generator and one solve per probe vector
         def per_vector(K, eta, solver, n_vectors, seed, power):
             seqs = np.random.SeedSequence(seed).spawn(n_vectors)
@@ -104,10 +104,10 @@ class TestHutchinson:
                                CorrelationKernel("exponential", 0.1,
                                                  taper_threshold=0.05))
         assert K.storage == "sparse"
-        if method == "dense":
+        if storage == "dense":
             K = CorrelationMatrix(K.toarray(), "dense", K.n)
         solver = Solver(K)
-        assert solver.method == method
+        assert solver.K.storage == storage
         provider = HutchinsonTraceProvider(K, solver, 12, seed=5)
         for eta in (0.05, 1.0):
             ref1 = per_vector(K, eta, solver, 12, 5, 1)
