@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
-from .errors import InputError, ModelError, NumericError, SolverError
-from .kernels import CorrelationMatrix, require_dense_memory
-from .model import GpModel, sparse_lu
+from .errors import InputError, ModelError, NumericError
+from .model import GpModel, Solver
 
-SPARSE_EIG_TOL = 1e-8
 INTERVAL_FLOOR = 1e-6
 INTERVAL_CEIL = 1e8
 # Remark-13 regime: approximate trace(N), trace(N^2) when n >> m.
@@ -54,52 +50,11 @@ class AsymptoteCoefficients:
     large_n_approx: bool
 
 
-def spectrum_bounds(K, eigvals: np.ndarray | None = None) -> SpectrumSummary:
-    """Extreme eigenvalues of K.
-
-    Read off ``eigvals`` (ascending, such as a dense Solver's spectrum)
-    when the spectrum is already known; otherwise one ``eigvalsh`` for
-    dense K (refused with InputError when the available memory cannot hold
-    its copy of K), or ``eigsh`` for sparse K (shift-invert around 0 through
-    ``model.sparse_lu`` for lambda_min).  An indefinite sparse K raises
-    SolverError, counted from the pivots of that factorization, before
-    either eigensolve.
-    """
-    if eigvals is not None:
-        return SpectrumSummary(float(eigvals[0]), float(eigvals[-1]))
-    is_corr = isinstance(K, CorrelationMatrix)
-    if is_corr and K.storage == "sparse":
-        A = K.entries
-        # a seeded start vector (ARPACK's own is drawn afresh per call) makes
-        # the bounds, and so every sparse estimate, reproducible
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])
-        lu = sparse_lu(A)
-        # with diagonal pivots the negative pivots count the negative
-        # eigenvalues (Sylvester's law of inertia)
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            raise SolverError("symmetric factorization of K pivoted off the "
-                              "diagonal; its inertia is unknown")
-        negative = int(np.count_nonzero(lu.U.diagonal() < 0))
-        if negative:
-            raise SolverError(f"K is indefinite: {negative} negative "
-                              f"eigenvalue(s) (sparse LDL' inertia)")
-        inverse = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-        try:
-            lam_max = float(spla.eigsh(A, k=1, which="LA", tol=SPARSE_EIG_TOL,
-                                       v0=v0, return_eigenvectors=False)[0])
-            lam_min = float(spla.eigsh(A, k=1, sigma=0.0, which="LM",
-                                       OPinv=inverse, tol=SPARSE_EIG_TOL,
-                                       v0=v0, return_eigenvectors=False)[0])
-        except Exception as exc:
-            raise NumericError(f"sparse eigensolve failed: {exc}") from None
-        return SpectrumSummary(lam_min, lam_max)
-    A = K.entries if is_corr else np.asarray(K, dtype=float)
-    require_dense_memory(A.shape[0], 1.0, "its eigensolve")
-    try:
-        lam = sla.eigvalsh(A, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolve failed: {exc}") from None
-    return SpectrumSummary(float(lam[0]), float(lam[-1]))
+def spectrum_bounds(solver: Solver) -> SpectrumSummary:
+    """Extreme eigenvalues of the solver's K (``Solver.extreme_eigvals``):
+    the ends of the dense spectrum, or eigsh on sparse K, where an
+    indefinite K raises SolverError first."""
+    return SpectrumSummary(*solver.extreme_eigvals())
 
 
 def derivative_bounds(spec: SpectrumSummary, n: int, m: int,
@@ -124,10 +79,10 @@ def ell_gap_bound(spec: SpectrumSummary, n: int, m: int, eta: float,
 
 
 def _frobenius_sq(K) -> float:
-    if isinstance(K, CorrelationMatrix) and K.storage == "sparse":
-        E = K.entries
-        return float(E.multiply(E).sum())
-    A = K.entries if isinstance(K, CorrelationMatrix) else np.asarray(K)
+    """||K||_F^2 of a model's correlation matrix, in either storage."""
+    A = K.entries
+    if K.storage == "sparse":
+        return float(A.multiply(A).sum())
     # einsum makes no n x n temporary, which would add a third n x n array
     # to K and its tridiagonal reduction in a dense fit
     return float(np.einsum("ij,ij->", A, A))

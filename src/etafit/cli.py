@@ -269,26 +269,15 @@ def cmd_benchmark(args) -> int:
     cells += [(n, "sparse") for n in sorted(sparse_sizes)]
     methods = ["profiled", "direct"]
 
-    skip = set()
-
     def run(n, storage, method):
-        if (storage, method) in skip:
-            return {"n": n, "storage": storage, "method": method,
-                    "wall_time": "", "precompute": "", "root_find": "",
-                    "n_evals": "", "n_ell_evals": "", "outcome": "skipped"}
         try:
-            row = _benchmark_cell(n, storage, method, args.sigma0, args.seed,
-                                  config)
+            return _benchmark_cell(n, storage, method, args.sigma0, args.seed,
+                                   config)
         except (InputError, NumericError) as exc:
             return {"n": n, "storage": storage, "method": method,
                     "wall_time": "", "precompute": "", "root_find": "",
                     "n_evals": "", "n_ell_evals": "",
                     "outcome": f"failed: {exc}"}
-        if args.timeout and row["wall_time"] > args.timeout:
-            # too slow already; larger cells of this series would be worse
-            skip.add((storage, method))
-            row["outcome"] += ",timeout"
-        return row
 
     results = [run(n, s, meth) for (n, s) in cells for meth in methods]
 
@@ -312,7 +301,7 @@ def cmd_plotdata(args) -> int:
 
     lo, hi = parse_pair(args.eta_range)
     etas = np.logspace(math.log10(lo), math.log10(hi), args.grid_points)
-    spectrum = analysis.spectrum_bounds(model.K, solver.eigvals)
+    spectrum = analysis.spectrum_bounds(solver)
     coeffs = analysis.asymptote_coefficients(model, analysis.large_n(model))
 
     d_vals = [likelihood.d_ell_deta(model, e, solver, traces) for e in etas]
@@ -413,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparse-sizes", default="",
                    help="tapered-sparse sizes, comma separated")
     p.add_argument("--sigma0", type=float, default=0.2)
-    p.add_argument("--timeout", type=float, default=0.0,
-                   help="per-cell soft time budget in seconds")
     p.add_argument("--out", required=True)
     _add_estimation_flags(p)
     p.set_defaults(func=cmd_benchmark, seed=0)

@@ -364,13 +364,13 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
 
     With the dense solver (dense K) the spectrum and every trace are
     exact: they come from the eigenvalues of its one tridiagonal
-    reduction, whose seconds the report gives as
-    ``diagnostics["timing"]["factor"]`` (0 on sparse K).  On sparse K the
-    trace interpolant is fitted from Hutchinson estimates
-    (``Solver.probe_grams``) instead, unless ``config`` asks for exact
-    traces.  Each root is
-    searched until its bracket is narrower than ``config.eta_tol`` in
-    log10(eta).
+    reduction.  On sparse K the spectrum bounds come from eigsh around
+    one sparse LU of K, which also gives log det K, and the trace
+    interpolant is fitted from Hutchinson estimates
+    (``Solver.probe_grams``), unless ``config`` asks for exact traces.
+    ``diagnostics["timing"]["factor"]`` gives the seconds of the solver's
+    one factorization of K, in either storage.  Each root is searched
+    until its bracket is narrower than ``config.eta_tol`` in log10(eta).
     """
     started = time.perf_counter()
     config = config or EstimateConfig()
@@ -382,7 +382,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     warnings_out: list[str] = []
 
     # --- pre-computation: spectrum, asymptotes, traces -----------------
-    spectrum = analysis.spectrum_bounds(model.K, solver.eigvals)
+    spectrum = analysis.spectrum_bounds(solver)
     if solver.jitter > 2.0 * JITTER_SCALE * n:
         warnings_out.append(
             f"K is indefinite (lambda_min = "

@@ -25,7 +25,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .design import DesignMatrix
-from .errors import InputError, ModelError, SolverError
+from .errors import InputError, ModelError, NumericError, SolverError
 from .kernels import CorrelationMatrix, require_dense_memory
 
 # Degeneracy flag: z counts as lying in range(X) when the projection
@@ -35,6 +35,15 @@ DEGENERACY_RTOL = 1e-12
 # Rounding floor of the spectrum, per point: eigenvalues of a correlation
 # matrix within JITTER_SCALE * n of zero are indistinguishable from it.
 JITTER_SCALE = 1e-10
+
+# Block Lanczos stops once G_1..G_3 at eta = 0 change by at most
+# LANCZOS_TOL in one step, and fails after LANCZOS_STEPS_PER_POINT * n
+# steps.
+LANCZOS_TOL = 1e-10
+LANCZOS_STEPS_PER_POINT = 10
+
+# eigsh tolerance of the sparse extreme eigenvalues
+SPARSE_EIG_TOL = 1e-8
 
 
 def spectral_jitter(lambda_min: float, n: int) -> float:
@@ -80,8 +89,9 @@ class HyperParams:
 
 
 class Solver:
-    """Solves and log-determinants of K_eta = K + eta I for one correlation
-    matrix; ``K.storage`` picks the backend.
+    """Solves and log-determinants of K_eta = K + eta I, and the extreme
+    eigenvalues of K, for one correlation matrix; ``K.storage`` picks the
+    backend.
 
     Dense storage reduces K = Q T Q' to a symmetric tridiagonal T once
     (LAPACK ``dsytrd``; Golub & Van Loan, *Matrix Computations*, 4th ed.,
@@ -101,11 +111,15 @@ class Solver:
     (``BlockLanczos``; the step counts are ``lanczos_steps`` and
     ``probe_lanczos_steps``), and ``solve`` and ``logdet`` use one
     ``sparse_lu`` (symmetric-mode SuperLU, minimum-degree ordering of
-    K + K') of K_eta.  ``tol`` and ``max_iter`` (the budget of Lanczos
-    steps) apply here only.  It has no spectrum (``eigvals`` is None),
-    applies no jitter and factors nothing up front (``factor_s`` is 0),
-    and the Lanczos runs need K itself positive definite, since they
-    converge at eta = 0.
+    K + K') of K_eta.  ``extreme_eigvals`` factors K itself once, in
+    ``factor_s`` seconds: the factor's inertia checks K positive definite,
+    it is the shift-invert operator behind lambda_min, and its
+    log-determinant is kept for ``logdet(0)``.  The factor itself is not
+    kept: its L and U (6.3 M entries for n = 16384 and 44 neighbours per
+    point) would raise the fit's peak memory by about a quarter.  Sparse
+    storage applies no jitter and has no full spectrum
+    (``eigvals`` is None), and the Lanczos runs need K itself positive
+    definite, since they converge at eta = 0.
 
     ``grams`` gives the likelihood everything it needs from [X | z] as
     (m+1) x (m+1) Gram matrices, so no n x n work and no n-length vector
@@ -115,14 +129,13 @@ class Solver:
     block ``probe_grams`` last served.
     """
 
-    def __init__(self, K: CorrelationMatrix, *, tol: float = 1e-10,
-                 max_iter: int | None = None):
+    def __init__(self, K: CorrelationMatrix):
         self.K = K
-        self.tol = tol
-        self.max_iter = max_iter if max_iter is not None else 10 * K.n
         self.jitter = 0.0
         self.eigvals = None
         self.factor_s = 0.0
+        self._extremes = None
+        self._logdet0 = None
         self._band = None
         self._per_model = None
         self._probes = None
@@ -203,7 +216,8 @@ class Solver:
 
     def _krylov_state(self, B: np.ndarray):
         if self._band is None:
-            return BlockLanczos(self.K.entries, B, self.tol, self.max_iter)
+            return BlockLanczos(self.K.entries, B, LANCZOS_TOL,
+                                int(LANCZOS_STEPS_PER_POINT * self.K.n))
         return self._rotate(B, "T")
 
     def _grams(self, state, eta: float, count: int) -> list:
@@ -237,23 +251,63 @@ class Solver:
 
     def logdet(self, eta: float) -> float:
         """log det(K_eta); from the spectrum on the dense path, from the
-        pivots of a symmetric sparse LU (``sparse_lu``) otherwise.  The
-        symmetric factorization is only valid for positive-definite
-        K_eta: a non-positive pivot raises SolverError."""
+        pivots of a symmetric sparse LU (``sparse_lu``) otherwise, where
+        eta = 0 reads the value ``extreme_eigvals`` kept.  The symmetric
+        factorization is only valid for positive-definite K_eta: a
+        non-positive pivot raises SolverError."""
         _check_eta(eta)
         if self.eigvals is not None:
             return float(np.sum(np.log(self.eigvals + eta)))
-        return float(np.sum(np.log(self._sparse_factor(eta)[1])))
+        if eta == 0.0 and self._logdet0 is not None:
+            return self._logdet0
+        return self._sparse_factor(eta)[1]
+
+    def extreme_eigvals(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max) of K, computed on the first call: the
+        ends of ``eigvals`` on dense K.  On sparse K, ``eigsh`` for each,
+        lambda_min by shift-invert around 0 on the one ``sparse_lu`` of K.
+        A seeded start vector (ARPACK's own is drawn afresh per call) makes
+        both, and so every sparse estimate, reproducible."""
+        if self.eigvals is not None:
+            return float(self.eigvals[0]), float(self.eigvals[-1])
+        if self._extremes is not None:
+            return self._extremes
+        A = self.K.entries
+        lu = self._sparse_factor(0.0)[0]
+        inverse = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])
+        try:
+            lam_max = float(spla.eigsh(A, k=1, which="LA", tol=SPARSE_EIG_TOL,
+                                       v0=v0, return_eigenvectors=False)[0])
+            lam_min = float(spla.eigsh(A, k=1, sigma=0.0, which="LM",
+                                       OPinv=inverse, tol=SPARSE_EIG_TOL,
+                                       v0=v0, return_eigenvectors=False)[0])
+        except Exception as exc:
+            raise NumericError(f"sparse eigensolve failed: {exc}") from None
+        self._extremes = (lam_min, lam_max)
+        return self._extremes
 
     def _sparse_factor(self, eta: float):
-        """``sparse_lu`` of K_eta and its pivots, checked positive definite
-        by them."""
+        """``sparse_lu`` of K_eta and its log-determinant, checked positive
+        definite by its inertia: with diagonal pivots, the negative pivots
+        count the negative eigenvalues (Sylvester's law of inertia).  A
+        factorization of K itself (eta = 0) is timed in ``factor_s`` and
+        leaves its log-determinant in ``_logdet0``."""
+        started = time.perf_counter()
         lu = sparse_lu(self.K.entries, eta)
         pivots = lu.U.diagonal()
-        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0)):
-            raise SolverError(
-                f"K + {eta} I is not positive definite (sparse LU)")
-        return lu, pivots
+        symmetric = np.array_equal(lu.perm_r, lu.perm_c)
+        if not (symmetric and np.all(pivots > 0)):
+            negative = np.count_nonzero(pivots < 0) if symmetric \
+                else "an unknown number of"
+            raise SolverError(f"K + {eta} I is not positive definite "
+                              f"(indefinite or singular): {negative} "
+                              f"negative eigenvalue(s) (sparse LDL' inertia)")
+        logdet = float(np.sum(np.log(pivots)))
+        if eta == 0.0:
+            self._logdet0 = logdet
+            self.factor_s += time.perf_counter() - started
+        return lu, logdet
 
 
 def _check_eta(eta: float) -> None:

@@ -126,7 +126,7 @@ def test_criterion_3_derivative_curve_structure(reference):
 
     solver = Solver(model.K)
     traces = ExactTraceProvider(model.K)
-    spectrum = etafit.spectrum_bounds(model.K)
+    spectrum = etafit.spectrum_bounds(solver)
     inside = True
     for eta in np.logspace(-3, 3, 19):
         d = likelihood.d_ell_deta(model, eta, solver, traces)

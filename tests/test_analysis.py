@@ -13,7 +13,7 @@ from etafit.errors import ModelError
 from etafit.kernels import (CorrelationKernel, CorrelationMatrix,
                             correlation_matrix)
 from etafit.likelihood import d2_ell_deta2, d_ell_deta, profile_ell
-from etafit.model import GpModel
+from etafit.model import GpModel, Solver
 
 
 def dense_q_n(model):
@@ -26,7 +26,7 @@ def dense_q_n(model):
 class TestSpectrumBounds:
     def test_identity(self):
         K = CorrelationMatrix(np.eye(9), "dense", 9)
-        spec = spectrum_bounds(K)
+        spec = spectrum_bounds(Solver(K))
         assert spec.lambda_min == pytest.approx(1.0, rel=1e-9)
         assert spec.lambda_max == pytest.approx(1.0, rel=1e-9)
 
@@ -34,7 +34,7 @@ class TestSpectrumBounds:
         rng = np.random.default_rng(50)
         pts = rng.uniform(size=(200, 2))
         K = correlation_matrix(pts, CorrelationKernel("exponential", 0.2))
-        spec = spectrum_bounds(K)
+        spec = spectrum_bounds(Solver(K))
         eigvals = np.linalg.eigvalsh(K.toarray())
         assert spec.lambda_min == pytest.approx(eigvals[0], rel=1e-6)
         assert spec.lambda_max == pytest.approx(eigvals[-1], rel=1e-6)
@@ -46,7 +46,7 @@ class TestSpectrumBounds:
         K = correlation_matrix(pts, CorrelationKernel("exponential", 0.08,
                                                       taper_threshold=0.05))
         assert K.storage == "sparse"
-        spec = spectrum_bounds(K)
+        spec = spectrum_bounds(Solver(K))
         eigvals = np.linalg.eigvalsh(K.toarray())
         assert spec.lambda_min == pytest.approx(eigvals[0], rel=1e-4)
         assert spec.lambda_max == pytest.approx(eigvals[-1], rel=1e-4)
@@ -65,7 +65,7 @@ class TestDerivativeBounds:
     def test_exact_derivatives_respect_bounds(self):
         model = random_model(n=100, q=1, seed=51, alpha=0.2)
         solver = dense_solver(model)
-        spec = spectrum_bounds(model.K)
+        spec = spectrum_bounds(solver)
         for eta in np.logspace(-2, 3, 20):
             b1, b2 = derivative_bounds(spec, model.n, model.m, eta)
             assert abs(d_ell_deta(model, eta, solver)) <= b1 * (1 + 1e-9)
@@ -75,7 +75,7 @@ class TestDerivativeBounds:
         # nonzero eigenvalues of M_{1,eta} sit inside
         # [1/(lambda_max+eta), 1/(lambda_min+eta)]
         model = random_model(n=12, q=1, seed=52)
-        spec = spectrum_bounds(model.K)
+        spec = spectrum_bounds(dense_solver(model))
         for eta in (0.2, 2.0):
             psi = np.sort(np.linalg.eigvalsh(dense_m1(model, eta)))
             nonzero = psi[model.m:]
@@ -100,7 +100,7 @@ class TestEllGapBound:
     def test_likelihood_differences_respect_bound(self):
         model = random_model(n=100, q=1, seed=54, alpha=0.2)
         solver = dense_solver(model)
-        spec = spectrum_bounds(model.K)
+        spec = spectrum_bounds(solver)
         etas = np.logspace(-2, 2, 7)
         ells = [profile_ell(model, e, solver).ell for e in etas]
         for i in range(len(etas)):
@@ -237,7 +237,7 @@ class TestSearchInterval:
         for seed in (61, 62, 63):
             model = random_model(n=60, q=1, seed=seed, alpha=0.3)
             solver = dense_solver(model)
-            spec = spectrum_bounds(model.K)
+            spec = spectrum_bounds(solver)
             coeffs = asymptote_coefficients(model)
             roots = asymptote_roots(coeffs, 1) + asymptote_roots(coeffs, 2)
             lo, hi = search_interval(spec, roots)

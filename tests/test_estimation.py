@@ -337,7 +337,7 @@ class TestEstimateVariances:
         sparse = estimate_variances(grid_model(
             n_side=SPARSE_SIDE, seed=3, alpha=SPARSE_ALPHA,
             taper=SPARSE_TAPER))
-        assert sparse.diagnostics["timing"]["factor"] == 0.0
+        assert sparse.diagnostics["timing"]["factor"] > 0.0
 
     def test_thresholds_do_not_change_ell_max(self):
         # a root outside [c, C] is reported as the boundary estimate, but

@@ -361,17 +361,6 @@ class TestDenseMemoryGuard:
         self.limit(monkeypatch, 1.0)
         ExactTraceProvider(dense)
 
-    def test_spectrum_eigensolve_refused_beyond_available_memory(
-            self, monkeypatch):
-        from etafit.analysis import spectrum_bounds
-        K = correlation_matrix(self.points(),
-                               CorrelationKernel("exponential", 0.1))
-        self.limit(monkeypatch, 0.9)
-        with pytest.raises(InputError, match="eigensolve"):
-            spectrum_bounds(K)
-        self.limit(monkeypatch, 1.0)
-        spectrum_bounds(K)
-
     def test_probe_reads_a_positive_byte_count(self):
         assert etafit.kernels.available_memory() > 0
 

@@ -110,6 +110,27 @@ class TestSparseEstimation:
         assert counts["lanczos_steps"] > 0
         assert counts["probe_lanczos_steps"] > 0
 
+    def test_fit_factors_K_once(self, sparse_problem, monkeypatch):
+        # the spectrum bounds, the positive-definiteness check and log det K
+        # share one LU of K; the only other one is the root's log det
+        etas = []
+
+        def counting(A, eta=0.0):
+            etas.append(eta)
+            return sparse_lu(A, eta)
+
+        monkeypatch.setattr(etafit.model, "sparse_lu", counting)
+        report = estimate_variances(sparse_problem)
+        assert report.outcome == "interior"
+        assert etas == [0.0, report.hyperparams.eta]
+
+    def test_logdet_at_zero_reads_the_spectrum_factorization(self,
+                                                             sparse_problem):
+        solver = Solver(sparse_problem.K)
+        spectrum_bounds(solver)
+        assert solver.factor_s > 0.0
+        assert solver.logdet(0.0) == Solver(sparse_problem.K).logdet(0.0)
+
     def test_default_traces_on_cg_path_never_densify(self, sparse_problem,
                                                      monkeypatch):
         # without a provider, a sparse solver uses its own Hutchinson route;
@@ -220,8 +241,10 @@ class TestLanczosGrams:
         with pytest.raises(ModelError):
             sigma2_hat(model, 0.5, Solver(sparse_problem.K))
 
-    def test_step_budget(self, sparse_problem):
-        solver = Solver(sparse_problem.K, max_iter=2)
+    def test_step_budget(self, sparse_problem, monkeypatch):
+        monkeypatch.setattr(etafit.model, "LANCZOS_STEPS_PER_POINT",
+                            2 / sparse_problem.n)
+        solver = Solver(sparse_problem.K)
         with pytest.raises(SolverError, match="stopped after 2 of 2 steps"):
             solver.grams(sparse_problem, 0.5, 2)
 
@@ -277,8 +300,10 @@ class TestProbeTraces:
 
 
 class TestSolverErrors:
-    def test_probe_step_budget(self, sparse_problem):
-        solver = Solver(sparse_problem.K, max_iter=2)
+    def test_probe_step_budget(self, sparse_problem, monkeypatch):
+        monkeypatch.setattr(etafit.model, "LANCZOS_STEPS_PER_POINT",
+                            2 / sparse_problem.n)
+        solver = Solver(sparse_problem.K)
         with pytest.raises(SolverError, match="stopped after 2 of 2 steps"):
             trace_inv_hutchinson(sparse_problem.K, 1e-4, solver,
                                  DEFAULT_HUTCHINSON_VECTORS)
@@ -294,7 +319,7 @@ class TestSolverErrors:
 
     def test_singular_spectrum_raises_solver_error(self):
         with pytest.raises(SolverError, match="K \\+ 0.0 I"):
-            spectrum_bounds(duplicate_point_K())
+            spectrum_bounds(Solver(duplicate_point_K()))
 
     def test_indefinite_logdet_raises_solver_error(self):
         # tridiagonal with off-diagonal 0.8: eigenvalues 1 + 1.6 cos(...)
@@ -356,8 +381,8 @@ class TestTaperedSpectrum:
                                                       taper_threshold=0.05))
         assert K.storage == "sparse"
         lam_min = np.linalg.eigvalsh(K.toarray())[0]
-        assert spectrum_bounds(K).lambda_min == pytest.approx(lam_min,
-                                                              rel=1e-8)
+        assert spectrum_bounds(Solver(K)).lambda_min == pytest.approx(
+            lam_min, rel=1e-8)
 
     @pytest.mark.parametrize("n,alpha,negative", [(1600, 0.05, 4),
                                                   (4096, 0.04, 165)])
@@ -365,7 +390,7 @@ class TestTaperedSpectrum:
         # the counts equal those of a dense eigvalsh of the same K
         K = indefinite_grid_K(n, alpha)
         with pytest.raises(SolverError, match=f"{negative} negative"):
-            spectrum_bounds(K)
+            spectrum_bounds(Solver(K))
 
     def test_indefinite_taper_estimate_raises_solver_error(self):
         ds = generate_synthetic(4096, 0.2, seed=23)
