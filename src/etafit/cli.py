@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 import time
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import analysis, likelihood
 from .datagen import generate_synthetic, load_dataset, save_dataset
-from .design import BasisSpec, build_design
+from .design import BasisSpec, DesignMatrix, build_design, column_rank
 from .errors import InputError, NumericError
 from .estimation import (EstimateConfig, direct_variances, estimate_variances,
                          inverse_square_priors, profile_optimize,
@@ -89,7 +88,6 @@ def parse_priors(text: str):
 
 def load_tabulated_design(path, n: int):
     """Read a plain numeric CSV as an n x m design matrix with a rank check."""
-    from .design import RANK_TOL_FACTOR, DesignMatrix
     try:
         entries = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError:
@@ -103,8 +101,7 @@ def load_tabulated_design(path, n: int):
     m = entries.shape[1]
     if m >= n:
         raise InputError(f"need more points than basis columns (n={n}, m={m})")
-    svals = np.linalg.svd(entries, compute_uv=False)
-    if np.sum(svals > n * svals[0] * RANK_TOL_FACTOR) < m:
+    if column_rank(entries) < m:
         raise InputError(f"tabulated design matrix {path} is rank deficient")
     return DesignMatrix(entries, m)
 

@@ -75,6 +75,12 @@ def n_basis(spec: BasisSpec) -> int:
     return 2 * spec.dimension
 
 
+def column_rank(entries: np.ndarray) -> int:
+    """Count of singular values above n * RANK_TOL_FACTOR times the largest."""
+    svals = np.linalg.svd(entries, compute_uv=False)
+    return int(np.sum(svals > entries.shape[0] * svals[0] * RANK_TOL_FACTOR))
+
+
 def build_design(points: np.ndarray, spec: BasisSpec) -> DesignMatrix:
     """Evaluate the basis at every point and verify full column rank."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -98,9 +104,7 @@ def build_design(points: np.ndarray, spec: BasisSpec) -> DesignMatrix:
             cols.append(np.cos(np.pi * pts[:, j]))
     X = np.column_stack(cols)
 
-    svals = np.linalg.svd(X, compute_uv=False)
-    tol = n * svals[0] * RANK_TOL_FACTOR
-    rank = int(np.sum(svals > tol))
+    rank = column_rank(X)
     if rank < m:
         raise ModelError(
             f"design matrix is rank deficient (rank {rank} < m {m}) for "

@@ -5,8 +5,8 @@ With Sigma = sigma^2 (K + eta I) the marginal likelihood over the data (with
 the regression coefficients integrated out) profiles in closed form over
 sigma^2; what remains is a univariate function of eta whose derivatives are
 built from traces of K_eta^-p and the (m+1) x (m+1) Gram matrices
-G_p = R' K_eta^-p R of R = [X | z] (``Solver.grams``): every quadratic form
-and trace of M is m x m algebra on them.  Derivative evaluations never
+G_p = R' K_eta^-p R of R = [X | z] (``Solver.grams``), whitened by one
+Cholesky factor of G_1 per eta (``_pieces``).  Derivative evaluations never
 touch the log-determinant, so they stay cheap on sparse paths.
 """
 
@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.lapack as lapack
 
 from .errors import InputError, ModelError
 from .model import GpModel, Solver
@@ -62,32 +63,31 @@ def trace_provider(solver: Solver, seed: int = 0):
 
 def _pieces(model: GpModel, eta: float, solver: Solver,
             count: int) -> SimpleNamespace:
-    """Shared per-eta quantities, all m x m: the Gram matrices
-    G_p = R' K_eta^{-p} R of R = [X | z] for p <= count (``Solver.grams``),
-    the factor of B = X' K_eta^{-1} X, the GLS coefficients beta, and
-    v = [-beta; 1], so that M z = K_eta^{-1} R v and z' M z = G_1[m] v.
-    """
+    """Per-eta quantities from G_p = R' K_eta^{-p} R, p <= count
+    (``Solver.grams``), and one Cholesky factor of G_1 from its lower
+    triangle (X' K_eta^{-1} z from row m), L = [[L_B, 0], [l', lambda]]:
+    L_B is that of B = X' K_eta^{-1} X, and z' M z = lambda^2.  ``W`` holds the whitened
+    W_p = L^-1 G_p L^-T for p >= 2, the Gram matrices of R~ = R L^-T.  As
+    R~' K_eta^-1 R~ = I and M z = lambda K_eta^-1 r~ for the last column
+    r~ of R~, every other form and trace of M is read from W_2 and W_3."""
     G = solver.grams(model, eta, count)
     m = model.m
-    B = G[0][:m, :m]
-    try:
-        B_factor = sla.cho_factor(B, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ModelError(f"X' K_eta^{{-1}} X is singular: {exc}") from None
+    L, info = lapack.dpotrf(G[0], lower=1)
+    if 0 < info <= m:
+        raise ModelError(f"X' K_eta^{{-1}} X is singular at eta={eta}")
     # pivots^2 bound the spectrum of B, so a ratio at rounding level means
     # B is singular at working precision even when the factorization ran
-    pivots = np.diag(B_factor[0]) ** 2
+    pivots = np.diag(L)[:m] ** 2
     ratio = pivots.min() / pivots.max()
-    if ratio <= B.shape[0] * np.finfo(float).eps:
+    if ratio <= m * np.finfo(float).eps:
         raise ModelError(f"X' K_eta^{{-1}} X is singular at eta={eta} "
                          f"(Cholesky pivot ratio {ratio:.1e})")
-    # G_1 = E'(T + eta I)^-1 E is symmetric only to rounding; taking
-    # b from row m makes z'Mz = G_1[m, m] - b' B^-1 b a Schur complement
-    beta = sla.cho_solve(B_factor, G[0][m, :m], check_finite=False)
-    v = np.append(-beta, 1.0)
-    logdet_B = 2.0 * float(np.sum(np.log(np.diag(B_factor[0]))))
-    return SimpleNamespace(G=G, B_factor=B_factor, beta=beta, v=v,
-                           z_m_z=float(G[0][m] @ v), logdet_B=logdet_B)
+    if info:
+        raise ModelError(f"nonpositive profiled variance at eta={eta}")
+    L_inv = lapack.dtrtri(L, lower=1)[0] if count > 1 else None
+    W = [L_inv @ Gp @ L_inv.T for Gp in G[1:]]
+    return SimpleNamespace(z_m_z=float(L[m, m] ** 2), W=W,
+                           logdet_B=2.0 * float(np.sum(np.log(np.diag(L)[:m]))))
 
 
 def _require_nondegenerate(model: GpModel):
@@ -95,6 +95,16 @@ def _require_nondegenerate(model: GpModel):
         raise ModelError(
             "observations lie in the range of the design matrix; the error "
             "variance is identically zero (use the trivial estimates)")
+
+
+def _log_likelihood(model: GpModel, eta: float, solver: Solver, p,
+                    sigma2: float) -> float:
+    n, m = model.n, model.m
+    return (-0.5 * (n - m) * LOG_2PI
+            - 0.5 * (n - m) * math.log(sigma2)
+            - 0.5 * solver.logdet(eta)
+            - 0.5 * p.logdet_B
+            - 0.5 * p.z_m_z / sigma2)
 
 
 def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
@@ -105,39 +115,23 @@ def _evaluate(model: GpModel, eta: float, solver: Solver, traces,
         traces = trace_provider(solver)
     n, m = model.n, model.m
     p = _pieces(model, eta, solver, 3 if want_second else 2)
-    G2 = p.G[1]
-    z_m2_z = float(p.v @ G2 @ p.v)
+    W2 = p.W[0]
     s2 = p.z_m_z / (n - m)
-    if s2 <= 0:
-        raise ModelError(f"nonpositive profiled variance at eta={eta}")
+    z_m2_z = p.z_m_z * float(W2[m, m])
 
-    # B^-1 X' K_eta^-2 X; trace(M) = trace(K_eta^-1) - trace(A)
-    A = sla.cho_solve(p.B_factor, G2[:m, :m], check_finite=False)
     t_m1 = d_ell = None
     if want_first:
-        t_m1 = traces(eta, 1) - float(np.trace(A))
+        t_m1 = traces(eta, 1) - float(np.trace(W2[:m, :m]))
         d_ell = -0.5 * (t_m1 - z_m2_z / s2)
 
-    ell = None
-    if want_ell:
-        ell = (-0.5 * (n - m) * LOG_2PI
-               - 0.5 * (n - m) * math.log(s2)
-               - 0.5 * solver.logdet(eta)
-               - 0.5 * p.logdet_B
-               - 0.5 * (n - m))
-
+    ell = _log_likelihood(model, eta, solver, p, s2) if want_ell else None
     ev = LikelihoodEval(eta=eta, sigma2_hat=s2, ell=ell, d_ell=d_ell,
                         z_m_z=p.z_m_z, z_m2_z=z_m2_z, trace_m1=t_m1)
     if want_second:
-        # M^2 z = K_eta^-2 R v - K_eta^-1 X B^-1 g with g = X' K_eta^-2 R v
-        G3 = p.G[2]
-        g = G2[:m] @ p.v
-        ev.z_m3_z = float(p.v @ G3 @ p.v
-                          - g @ sla.cho_solve(p.B_factor, g,
-                                              check_finite=False))
-        C = sla.cho_solve(p.B_factor, G3[:m, :m], check_finite=False)
-        ev.trace_m1_sq = (traces(eta, 2) - 2.0 * float(np.trace(C))
-                          + float(np.trace(A @ A)))
+        W3 = p.W[1]
+        ev.z_m3_z = p.z_m_z * float(W3[m, m] - W2[:m, m] @ W2[:m, m])
+        ev.trace_m1_sq = (traces(eta, 2) - 2.0 * float(np.trace(W3[:m, :m]))
+                          + float(np.sum(W2[:m, :m] ** 2)))
         ev.d2_ell = 0.5 * (ev.trace_m1_sq - 2.0 * ev.z_m3_z / s2
                            + z_m2_z ** 2 / ((n - m) * s2 * s2))
     return ev
@@ -159,13 +153,8 @@ def log_marginal_likelihood(model: GpModel, sigma2: float, eta: float,
     _require_nondegenerate(model)
     if not (np.isfinite(sigma2) and sigma2 > 0):
         raise InputError(f"sigma2 must be positive, got {sigma2}")
-    n, m = model.n, model.m
-    p = _pieces(model, eta, solver, 1)
-    return (-0.5 * (n - m) * LOG_2PI
-            - 0.5 * (n - m) * math.log(sigma2)
-            - 0.5 * solver.logdet(eta)
-            - 0.5 * p.logdet_B
-            - 0.5 * p.z_m_z / sigma2)
+    return _log_likelihood(model, eta, solver, _pieces(model, eta, solver, 1),
+                           sigma2)
 
 
 def ell_infinite_eta(model: GpModel) -> tuple[float, float]:
@@ -175,9 +164,7 @@ def ell_infinite_eta(model: GpModel) -> tuple[float, float]:
     variance is the plain least-squares residual variance ||z||_P^2/(n-m).
     """
     n, m = model.n, model.m
-    coef, *_ = np.linalg.lstsq(model.X.entries, model.z, rcond=None)
-    resid = model.z - model.X.entries @ coef
-    sigma02 = float(resid @ resid) / (n - m)
+    sigma02 = float(model.residual @ model.residual) / (n - m)
     if sigma02 <= 0:
         raise ModelError("degenerate model: zero residual variance")
     sign, logdet_xtx = np.linalg.slogdet(model.X.entries.T @ model.X.entries)

@@ -243,11 +243,10 @@ class Solver:
         B = np.asarray(B, dtype=float)
         if self._band is None:
             return self._sparse_factor(eta)[0].solve(B)
-        B2 = B[:, None] if B.ndim == 1 else B
         L = _banded_cholesky(self._band, eta)
-        X = self._rotate(sla.cho_solve_banded(L, self._rotate(B2, "T"),
-                                              check_finite=False), "N")
-        return X[:, 0] if B.ndim == 1 else X
+        C = self._rotate(B.reshape(B.shape[0], -1), "T")
+        X = self._rotate(lapack.dpbtrs(L, C, lower=1)[0], "N")
+        return X.reshape(B.shape)
 
     def logdet(self, eta: float) -> float:
         """log det(K_eta); from the spectrum on the dense path, from the
@@ -391,16 +390,16 @@ class BlockLanczos:
         return _banded_grams(self._band, E, eta, count)
 
 
-def _banded_cholesky(band: np.ndarray, eta: float):
-    """Lower banded Cholesky factor of T + eta I, for ``cho_solve_banded``;
-    ``band`` is T in lower band form, band[i - j, j] = T[i, j]."""
+def _banded_cholesky(band: np.ndarray, eta: float) -> np.ndarray:
+    """Lower banded Cholesky factor of T + eta I (LAPACK ``dpbtrf``), for
+    ``dpbtrs``; ``band`` is T in lower band form, band[i - j, j] = T[i, j]."""
     ab = band.copy()
     ab[0] += eta
-    try:
-        return sla.cholesky_banded(ab, lower=True, check_finite=False), True
-    except np.linalg.LinAlgError:
+    L, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
         raise SolverError(f"K + {eta} I is not positive definite (banded "
-                          f"Cholesky)") from None
+                          f"Cholesky)")
+    return L
 
 
 def _banded_grams(band: np.ndarray, E: np.ndarray, eta: float,
@@ -411,10 +410,10 @@ def _banded_grams(band: np.ndarray, E: np.ndarray, eta: float,
     Q exactly (tridiagonal, Householder), sparse K gives them by block
     Lanczos on R, where E = E_1 B_1 and G_p is a Gauss-quadrature form."""
     L = _banded_cholesky(band, eta)
-    Y = sla.cho_solve_banded(L, E, check_finite=False)
+    Y = lapack.dpbtrs(L, E, lower=1)[0]
     grams = [E.T @ Y, Y.T @ Y][:count]
     if count > 2:
-        grams.append(Y.T @ sla.cho_solve_banded(L, Y, check_finite=False))
+        grams.append(Y.T @ lapack.dpbtrs(L, Y, lower=1)[0])
     return grams
 
 
@@ -480,15 +479,16 @@ def sparse_lu(A, eta: float = 0.0):
 class GpModel:
     """Immutable problem instance: observations, design, correlation, points.
 
-    ``degenerate`` flags z in range(X) (projection residual below
-    DEGENERACY_RTOL * ||z||), in which case the fitted error variance is
-    identically zero and estimation short-circuits.
+    ``degenerate`` flags z in range(X) (its least-squares ``residual`` on X
+    below DEGENERACY_RTOL * ||z||), in which case the fitted error variance
+    is identically zero and estimation short-circuits.
     """
 
     z: np.ndarray
     X: DesignMatrix
     K: CorrelationMatrix
     points: np.ndarray
+    residual: np.ndarray = field(init=False, repr=False)
     degenerate: bool = field(init=False)
 
     def __post_init__(self):
@@ -503,10 +503,10 @@ class GpModel:
         # z in range(X) makes every M-action vanish regardless of eta, so the
         # plain least-squares residual is an equivalent, cheaper probe.
         coef, *_ = np.linalg.lstsq(self.X.entries, self.z, rcond=None)
-        resid = self.z - self.X.entries @ coef
+        self.residual = self.z - self.X.entries @ coef
         znorm = np.linalg.norm(self.z)
-        self.degenerate = bool(
-            np.linalg.norm(resid) <= DEGENERACY_RTOL * max(znorm, 1e-300))
+        self.degenerate = bool(np.linalg.norm(self.residual)
+                               <= DEGENERACY_RTOL * max(znorm, 1e-300))
 
     @property
     def n(self) -> int:

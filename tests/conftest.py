@@ -8,7 +8,6 @@ these serve as independent references.
 import numpy as np
 import pytest
 
-from etafit import likelihood
 from etafit.design import BasisSpec, build_design
 from etafit.kernels import CorrelationKernel, correlation_matrix
 from etafit.model import GpModel, Solver
@@ -31,15 +30,18 @@ def dense_solver(model):
 
 
 def m_action(model, eta, solver):
-    """w = M_{1,eta} z = K_eta^{-1} [X | z] v from the implementation's
-    own v = [-beta; 1]."""
-    v = likelihood._pieces(model, eta, solver, 1).v
+    """w = M_{1,eta} z = K_eta^{-1} [X | z] v with v = [-beta; 1] and beta
+    from the solver's Gram matrix (``gls_beta``)."""
+    v = np.append(-gls_beta(model, eta, solver), 1.0)
     return solver.solve(eta, np.column_stack([model.X.entries, model.z]) @ v)
 
 
 def gls_beta(model, eta, solver):
-    """The implementation's GLS coefficients (X' Kinv X)^{-1} X' Kinv z."""
-    return likelihood._pieces(model, eta, solver, 1).beta
+    """GLS coefficients (X' Kinv X)^{-1} X' Kinv z from the solver's
+    G_1 = [X | z]' Kinv [X | z]."""
+    G1 = solver.grams(model, eta, 1)[0]
+    m = model.m
+    return np.linalg.solve(G1[:m, :m], G1[m, :m])
 
 
 def dense_m1(model, eta):

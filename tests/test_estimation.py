@@ -133,6 +133,23 @@ class TestNelderMead:
         assert not res.converged
         assert res.n_evals <= 10
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_eval_budget_is_never_overrun(self, k):
+        c = np.linspace(1.0, 2.0, k)
+        for max_evals in range(k + 1, 16):
+            seen = []
+
+            def f(x):
+                seen.append((x.copy(), float(np.sum((x - c) ** 2))))
+                return seen[-1][1]
+
+            res = nelder_mead(f, np.zeros(k), tol=1e-14, max_evals=max_evals)
+            assert len(seen) == res.n_evals <= max_evals
+            assert not res.converged
+            x_best, f_best = min(seen, key=lambda s: s[1])
+            assert res.fun == f_best
+            np.testing.assert_array_equal(res.x, x_best)
+
     def test_one_dimensional(self):
         res = nelder_mead(lambda x: float((x[0] - 3.0) ** 2),
                           np.array([0.0]), tol=1e-10)
@@ -315,7 +332,8 @@ class TestEstimateVariances:
         for module, names in ((scipy.linalg, ("eigh", "eigvalsh", "cholesky",
                                               "cho_factor",
                                               "cholesky_banded")),
-                              (scipy.linalg.lapack, ("dsytrd",)),
+                              (scipy.linalg.lapack, ("dsytrd", "dpotrf",
+                                                     "dpbtrf")),
                               (np.linalg, ("eigh", "eigvalsh", "cholesky"))):
             for name in names:
                 monkeypatch.setattr(module, name, counting(
@@ -324,11 +342,14 @@ class TestEstimateVariances:
         assert report.outcome == "interior"
         big = [c for c in calls if c[1] == (n, n)]
         assert big == [("scipy.linalg.lapack.dsytrd", (n, n))]
-        # every Cholesky left is of an m x m matrix or of the banded
-        # T + eta I (lower band form, 2 x n)
-        cholesky = [shape for name, shape in calls if "cho" in name]
+        # every Cholesky left is of an m x m matrix, of the (m+1) x (m+1)
+        # G_1, or of the banded T + eta I (lower band form, 2 x n)
+        m = model.m
+        cholesky = [shape for name, shape in calls
+                    if "cho" in name or "trf" in name]
         assert (2, n) in cholesky
-        assert all(shape in ((model.m, model.m), (2, n))
+        assert (m + 1, m + 1) in cholesky
+        assert all(shape in ((m, m), (m + 1, m + 1), (2, n))
                    for shape in cholesky)
 
     def test_factorization_time_is_reported(self):
