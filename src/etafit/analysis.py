@@ -88,22 +88,16 @@ def _frobenius_sq(K) -> float:
     return float(np.einsum("ij,ij->", A, A))
 
 
-def large_n(model: GpModel) -> bool:
-    """Whether n > LARGE_N_FACTOR * m, where the asymptote uses the n >> m
-    trace surrogates."""
-    return model.n > LARGE_N_FACTOR * model.m
-
-
-def asymptote_coefficients(model: GpModel,
-                           large_n_approx: bool = False) -> AsymptoteCoefficients:
+def asymptote_coefficients(model: GpModel) -> AsymptoteCoefficients:
     """Build the expansion coefficients a_i = zc' A_i zc via matrix actions.
 
     Powers of N = K Q are never materialized; each a_i comes from nested
-    K-products and projections applied to the normalized data vector.  With
-    ``large_n_approx`` the two traces are replaced by their n >> m
-    surrogates n and ||K||_F^2.
+    K-products and projections applied to the normalized data vector.  When
+    n > LARGE_N_FACTOR * m (``large_n_approx``) the two traces are replaced
+    by their n >> m surrogates n and ||K||_F^2.
     """
     n, m = model.n, model.m
+    large_n_approx = n > LARGE_N_FACTOR * m
     X = model.X.entries
     z = model.z
     K = model.K.entries

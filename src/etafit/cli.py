@@ -32,6 +32,13 @@ KERNEL_ALIASES = {"exp": "exponential", "exponential": "exponential",
                   "gaussian": "gaussian"}
 
 
+def parse_number(text: str, flag: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{flag}: invalid {kind.__name__} {text!r}") from None
+
+
 def parse_kernel(text: str) -> CorrelationKernel:
     """family:alpha[:nu][:taper=kappa], e.g. exp:0.1 or matern:0.1:2.5."""
     parts = text.split(":")
@@ -42,9 +49,9 @@ def parse_kernel(text: str) -> CorrelationKernel:
     numbers = []
     for part in parts[1:]:
         if part.startswith("taper="):
-            taper = float(part[len("taper="):])
+            taper = parse_number(part[len("taper="):], "--kernel")
         elif part:
-            numbers.append(float(part))
+            numbers.append(parse_number(part, "--kernel"))
     if not numbers:
         raise InputError(f"kernel spec {text!r} is missing alpha")
     alpha = numbers[0]
@@ -57,7 +64,7 @@ def parse_basis(text: str):
     parts = text.split(":", 1)
     name = parts[0].lower()
     if name in ("poly", "polynomial"):
-        order = int(parts[1]) if len(parts) > 1 else 2
+        order = parse_number(parts[1], "--basis", int) if len(parts) > 1 else 2
         return BasisSpec("polynomial", order)
     if name in ("trig", "trigonometric"):
         return BasisSpec("trigonometric")
@@ -68,10 +75,10 @@ def parse_basis(text: str):
     raise InputError(f"unknown basis {text!r}")
 
 
-def parse_pair(text: str) -> tuple[float, float]:
-    parts = [float(p) for p in text.split(",")]
+def parse_pair(text: str, flag: str) -> tuple[float, float]:
+    parts = [parse_number(p, flag) for p in text.split(",")]
     if len(parts) != 2:
-        raise InputError(f"expected two comma-separated values, got {text!r}")
+        raise InputError(f"{flag}: expected two values, got {text!r}")
     return parts[0], parts[1]
 
 
@@ -103,7 +110,7 @@ def load_tabulated_design(path, n: int):
         raise InputError(f"need more points than basis columns (n={n}, m={m})")
     if column_rank(entries) < m:
         raise InputError(f"tabulated design matrix {path} is rank deficient")
-    return DesignMatrix(entries, m)
+    return DesignMatrix(entries)
 
 
 def dataset_design(dataset, basis):
@@ -121,16 +128,11 @@ def build_model(dataset, basis, kernel: CorrelationKernel) -> GpModel:
 
 
 def make_config(args) -> EstimateConfig:
-    config = EstimateConfig()
-    if getattr(args, "eta_tol", None) is not None:
-        config.eta_tol = args.eta_tol
-    if getattr(args, "thresholds", None) is not None:
-        config.c_threshold, config.C_threshold = parse_pair(args.thresholds)
-    if getattr(args, "exact_traces", False):
-        config.exact_traces = True
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    return config
+    c, C = ((EstimateConfig.c_threshold, EstimateConfig.C_threshold)
+            if args.thresholds is None
+            else parse_pair(args.thresholds, "--thresholds"))
+    return EstimateConfig(c_threshold=c, C_threshold=C,
+                          exact_traces=args.exact_traces, seed=args.seed)
 
 
 def _write_text(path, text: str) -> None:
@@ -176,7 +178,7 @@ def cmd_estimate(args) -> int:
             return GpModel(dataset.z, X, K, points)
 
         priors = parse_priors(args.priors)
-        init = parse_pair(args.init)
+        init = parse_pair(args.init, "--init")
         report = profile_optimize(builder, init, priors, config=config)
     elif args.direct:
         model = build_model(dataset, basis, kernel)
@@ -289,6 +291,9 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    lo, hi = parse_pair(args.eta_range, "--eta-range")
+    if not 0.0 < lo < hi:
+        raise InputError(f"--eta-range needs 0 < lo < hi, got {lo}, {hi}")
     dataset = load_dataset(args.data)
     basis = parse_basis(args.basis)
     kernel = parse_kernel(args.kernel)
@@ -296,10 +301,9 @@ def cmd_plotdata(args) -> int:
     solver = Solver(model.K)
     traces = likelihood.trace_provider(solver)
 
-    lo, hi = parse_pair(args.eta_range)
     etas = np.logspace(math.log10(lo), math.log10(hi), args.grid_points)
     spectrum = analysis.spectrum_bounds(solver)
-    coeffs = analysis.asymptote_coefficients(model, analysis.large_n(model))
+    coeffs = analysis.asymptote_coefficients(model)
 
     d_vals = [likelihood.d_ell_deta(model, e, solver, traces) for e in etas]
     rows = ["eta,d_ell,bound_lo,bound_hi,asymptote_1,asymptote_2,is_root"]
@@ -317,11 +321,11 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_trace_interp(args) -> int:
+    nodes = tuple(parse_number(v, "--nodes") for v in args.nodes.split(","))
     dataset = load_dataset(args.data)
     kernel = parse_kernel(args.kernel)
     K = correlation_matrix(dataset.points, kernel)
     solver = Solver(K)
-    nodes = tuple(float(v) for v in args.nodes.split(","))
     interp = fit_tau_interpolant(
         K, nodes, likelihood.trace_provider(solver, args.seed))
     _write_text(args.out, interp.to_json() + "\n")
@@ -343,14 +347,13 @@ def cmd_trace_interp(args) -> int:
 # ----------------------------------------------------------------------
 
 def _add_estimation_flags(p):
-    p.add_argument("--eta-tol", type=float, default=None,
-                   help="root tolerance in log10(eta)")
     p.add_argument("--thresholds", default=None, metavar="c,C",
-                   help="interior classification thresholds")
+                   help="interior classification thresholds, 0 < c < C")
     p.add_argument("--exact-traces", action="store_true",
                    help="disable trace interpolation on sparse K "
                         "(validation runs)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0,
+                   help="probe seed; also the table1/benchmark data seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma0", type=float, default=0.2)
     p.add_argument("--out", required=True)
     _add_estimation_flags(p)
-    p.set_defaults(func=cmd_benchmark, seed=0)
+    p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("plotdata", help="derivative/bounds/asymptote curves")
     p.add_argument("--data", required=True)

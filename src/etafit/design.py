@@ -41,11 +41,10 @@ class BasisSpec:
 @dataclass
 class DesignMatrix:
     entries: np.ndarray
-    m: int
 
     @property
-    def shape(self):
-        return self.entries.shape
+    def m(self) -> int:
+        return self.entries.shape[1]
 
 
 def monomial_exponents(q: int, d: int) -> list[tuple[int, ...]]:
@@ -109,4 +108,4 @@ def build_design(points: np.ndarray, spec: BasisSpec) -> DesignMatrix:
         raise ModelError(
             f"design matrix is rank deficient (rank {rank} < m {m}) for "
             f"{spec.family} basis of order {spec.order}")
-    return DesignMatrix(X, m)
+    return DesignMatrix(X)

@@ -34,8 +34,11 @@ METHOD_DIRECT = "direct_nelder_mead"
 
 # Derivative probes of the sign scan, evenly spaced in log10(eta).
 SCAN_PROBES = 24
+# Bracket width in log10(eta) at which each root search stops.
+ETA_TOL = 1e-10
 # Iteration budget of each bracketed root search.
 MAX_ROOT_ITER = 100
+NU_BOUNDS = (1e-2, 25.0)  # smoothness range of the kernel search
 
 
 # ----------------------------------------------------------------------
@@ -256,10 +259,10 @@ class PriorSpec:
         return self.alpha.log_pdf(alpha) + self.nu.log_pdf(nu)
 
 
-def uniform_priors(nu_cap: float = 25.0) -> PriorSpec:
-    """Flat priors with the smoothness capped, as in the baseline study."""
+def uniform_priors() -> PriorSpec:
+    """Flat priors, the smoothness capped at NU_BOUNDS[1] (baseline study)."""
     return PriorSpec(alpha=Prior("uniform", 0.0, math.inf),
-                     nu=Prior("uniform", 0.0, nu_cap))
+                     nu=Prior("uniform", 0.0, NU_BOUNDS[1]))
 
 
 def inverse_square_priors() -> PriorSpec:
@@ -283,18 +286,22 @@ class EstimateConfig:
     run; both read one block Lanczos run on the probes per solver.  The
     dense backend always uses exact traces.
 
-    Each root search runs until its bracket is narrower than ``eta_tol``
-    in log10(eta).  ``f_tol_scale`` is a constant, not a setting: it is
-    the bound on |d ell / d eta| / (n - m) that the tests apply at a
-    reported root.
+    An eta in [c_threshold, C_threshold], 0 < c < C, is interior.
+    ``f_tol_scale`` is a constant, not a setting: it is the bound on
+    |d ell / d eta| / (n - m) that the tests apply at a reported root.
     """
 
     c_threshold: float = 1e-4
     C_threshold: float = 1e4
-    eta_tol: float = 1e-10          # bracket tolerance in log10(eta)
     f_tol_scale: ClassVar[float] = 1e-8  # |d ell/d eta| at a root / (n - m)
     exact_traces: bool = False      # skip the interpolant (validation runs)
     seed: int = 0                   # Hutchinson probe seed
+
+    def __post_init__(self):
+        if not 0.0 < self.c_threshold < self.C_threshold:
+            raise InputError(
+                f"thresholds need 0 < c < C, got c={self.c_threshold}, "
+                f"C={self.C_threshold}")
 
 
 @dataclass
@@ -379,7 +386,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     (``Solver.probe_grams``), unless ``config`` asks for exact traces.
     ``diagnostics["timing"]["factor"]`` gives the seconds of the solver's
     one factorization of K, in either storage.  Each root is searched
-    until its bracket is narrower than ``config.eta_tol`` in log10(eta).
+    until its bracket is narrower than ETA_TOL in log10(eta).
     """
     started = time.perf_counter()
     config = config or EstimateConfig()
@@ -397,7 +404,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
             f"K is indefinite (lambda_min = "
             f"{spectrum.lambda_min - solver.jitter:.3e}); solves, "
             f"log-determinants and traces use K + {solver.jitter:.3e} I")
-    coeffs = analysis.asymptote_coefficients(model, analysis.large_n(model))
+    coeffs = analysis.asymptote_coefficients(model)
     roots1 = analysis.asymptote_roots(coeffs, 1)
     roots2 = analysis.asymptote_roots(coeffs, 2)
     interval = analysis.search_interval(spectrum, roots1 + roots2)
@@ -441,7 +448,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
         # small derivative still leaves the root far off in eta
         try:
             t_root, iters = chandrupatla_root(
-                g, grid_t[i], grid_t[i + 1], x_tol=config.eta_tol,
+                g, grid_t[i], grid_t[i + 1], x_tol=ETA_TOL,
                 max_iter=MAX_ROOT_ITER, f_lo=float(grid_d[i]),
                 f_hi=float(grid_d[i + 1]))
         except NumericError as exc:
@@ -594,8 +601,6 @@ def direct_variances(model: GpModel, init=(0.1, 0.1), tol: float = 1e-6,
 # ----------------------------------------------------------------------
 # Kernel hyperparameter optimization
 # ----------------------------------------------------------------------
-
-NU_BOUNDS = (1e-2, 25.0)
 
 
 def profile_optimize(model_builder, init, priors: PriorSpec | None = None,

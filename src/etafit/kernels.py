@@ -82,16 +82,21 @@ class CorrelationKernel:
 class CorrelationMatrix:
     """Symmetric unit-diagonal correlation matrix over ``n`` points.
 
-    ``entries`` is a dense ndarray or a CSR matrix depending on ``storage``.
+    ``storage`` is "sparse" when ``entries`` is a scipy sparse matrix.
     ``has_duplicates`` flags coincident points (unit off-diagonal entries),
     which can break strict positive-definiteness.
     """
 
     entries: object
-    storage: str
-    n: int
-    has_duplicates: bool = False
-    diagnostics: dict = field(default_factory=dict)
+    has_duplicates: bool = field(default=False, kw_only=True)
+
+    @property
+    def storage(self) -> str:
+        return "sparse" if sparse.issparse(self.entries) else "dense"
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
     def toarray(self) -> np.ndarray:
         if self.storage == "sparse":
@@ -331,9 +336,7 @@ def correlation_matrix(points: np.ndarray,
         cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(n)])
         data = np.concatenate([vals, vals, np.ones(n)])
         entries = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-        density = entries.nnz / float(n * n)
-        return CorrelationMatrix(entries, "sparse", n, has_duplicates,
-                                 {"nnz_density": density})
+        return CorrelationMatrix(entries, has_duplicates=has_duplicates)
 
     # its peak exceeds that of K plus the tridiagonal reduction (2 copies)
     require_dense_memory(n, _assembly_copies(kernel), "its assembly")
@@ -342,4 +345,4 @@ def correlation_matrix(points: np.ndarray,
     entries = squareform(kernel_profile(kernel, dist), checks=False)
     np.fill_diagonal(entries, 1.0)
     has_duplicates = bool(np.any(dist == 0.0))
-    return CorrelationMatrix(entries, "dense", n, has_duplicates)
+    return CorrelationMatrix(entries, has_duplicates=has_duplicates)

@@ -22,8 +22,7 @@ import scipy.linalg.lapack as lapack
 
 from .errors import InputError, ModelError
 from .model import GpModel, Solver
-from .traces import (DEFAULT_HUTCHINSON_VECTORS, ExactTraceProvider,
-                     HutchinsonTraceProvider)
+from .traces import ExactTraceProvider, HutchinsonTraceProvider
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -56,8 +55,7 @@ def trace_provider(solver: Solver, seed: int = 0):
     K, read by Gauss quadrature from one block Lanczos run on the probes
     (no dense matrix)."""
     if solver.eigvals is None:
-        return HutchinsonTraceProvider(solver.K, solver,
-                                       DEFAULT_HUTCHINSON_VECTORS, seed)
+        return HutchinsonTraceProvider(solver, seed=seed)
     return ExactTraceProvider(solver.K, solver.eigvals)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InputError, NumericError
-from .kernels import CorrelationMatrix, require_dense_memory
+from .kernels import require_dense_memory
 from .model import spectral_jitter
 
 MAX_INTERPOLANT_NODES = 8
@@ -30,13 +30,7 @@ DEFAULT_HUTCHINSON_VECTORS = 20
 CONDITION_WARN = 1e10
 
 
-def _n_of(K) -> int:
-    if isinstance(K, CorrelationMatrix):
-        return K.n
-    return K.shape[0]
-
-
-def trace_inv_hutchinson(K, eta: float, solver, n_vectors: int,
+def trace_inv_hutchinson(eta: float, solver, n_vectors: int,
                          seed: int = 0) -> tuple[float, float]:
     """Rademacher-probe estimate of trace(K_eta^{-1}) with its standard error.
 
@@ -108,7 +102,7 @@ def fit_tau_interpolant(K, nodes, traces) -> TraceInterpolant:
         raise InputError("interpolation nodes must be distinct")
     nodes = tuple(sorted(nodes))
 
-    n = _n_of(K)
+    n = K.n
     tau0 = traces(0.0) / n
     tau_values = tuple(traces(e) / n for e in nodes)
 
@@ -172,7 +166,6 @@ class ExactTraceProvider:
     seed = None
 
     def __init__(self, K, eigvals: np.ndarray | None = None):
-        self.K = K
         if eigvals is None:
             copies = 2.0 if K.storage == "sparse" else 1.0
             require_dense_memory(K.n, copies, "its dense eigensolve")
@@ -196,17 +189,16 @@ class HutchinsonTraceProvider:
 
     method = "hutchinson"
 
-    def __init__(self, K, solver, n_vectors: int = DEFAULT_HUTCHINSON_VECTORS,
+    def __init__(self, solver, n_vectors: int = DEFAULT_HUTCHINSON_VECTORS,
                  seed: int = 0):
-        self.K = K
         self.solver = solver
         self.n_vectors = n_vectors
         self.seed = seed
 
     def __call__(self, eta: float, power: int = 1) -> float:
         if power == 1:
-            return trace_inv_hutchinson(self.K, eta, self.solver,
-                                        self.n_vectors, self.seed)[0]
+            return trace_inv_hutchinson(eta, self.solver, self.n_vectors,
+                                        self.seed)[0]
         G2 = self.solver.probe_grams(self.n_vectors, self.seed, eta, 2)[1]
         return float(np.mean(np.diag(G2)))
 

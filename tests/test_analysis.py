@@ -25,7 +25,7 @@ def dense_q_n(model):
 
 class TestSpectrumBounds:
     def test_identity(self):
-        K = CorrelationMatrix(np.eye(9), "dense", 9)
+        K = CorrelationMatrix(np.eye(9))
         spec = spectrum_bounds(Solver(K))
         assert spec.lambda_min == pytest.approx(1.0, rel=1e-9)
         assert spec.lambda_max == pytest.approx(1.0, rel=1e-9)
@@ -173,13 +173,17 @@ class TestAsymptote:
         assert rel_errs[-1] < rel_errs[0]
 
     def test_large_n_approximation_replaces_traces_only(self):
+        # n = 150 > LARGE_N_FACTOR * m with m = 1
         model = random_model(n=150, q=0, seed=59)
-        exact = asymptote_coefficients(model, large_n_approx=False)
-        approx = asymptote_coefficients(model, large_n_approx=True)
+        approx = asymptote_coefficients(model)
+        assert approx.large_n_approx
         assert approx.trace_n == model.n
         K = model.K.toarray()
         assert approx.trace_n2 == pytest.approx(np.sum(K * K), rel=1e-12)
-        assert approx.a0 == pytest.approx(exact.a0, rel=0.1)
+        # a0 = -trace(N) / (n - m) + p1, with the exact trace(N) of N = K Q
+        _, N = dense_q_n(model)
+        exact_a0 = approx.a0 + (model.n - np.trace(N)) / (model.n - model.m)
+        assert approx.a0 == pytest.approx(exact_a0, rel=0.1)
 
     def test_neumann_expansion_error_decays_like_eta_fourth(self):
         model = random_model(n=8, q=1, seed=60)

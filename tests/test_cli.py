@@ -46,9 +46,29 @@ class TestParsers:
             parse_basis("wavelets")
 
     def test_pairs(self):
-        assert parse_pair("1e-4,1e4") == (1e-4, 1e4)
-        with pytest.raises(InputError):
-            parse_pair("1,2,3")
+        assert parse_pair("1e-4,1e4", "--thresholds") == (1e-4, 1e4)
+        with pytest.raises(InputError, match="--thresholds"):
+            parse_pair("1,2,3", "--thresholds")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--kernel", "exp:abc"], "--kernel"),
+    (["estimate", "--basis", "poly:x"], "--basis"),
+    (["estimate", "--thresholds", "a,b"], "--thresholds"),
+    (["estimate", "--thresholds", "1e4,1e-4"], "0 < c < C"),
+    (["trace-interp", "--nodes", "1,a"], "--nodes"),
+    (["plotdata", "--eta-range", "0,10"], "--eta-range"),
+    (["plotdata", "--eta-range", "10,1"], "--eta-range"),
+], ids=["kernel", "basis", "thresholds", "empty_window", "nodes",
+        "eta_range_zero", "eta_range_reversed"])
+def test_malformed_argument_exits_2(argv, message, data_csv, tmp_path,
+                                    capsys):
+    rc = main([argv[0], "--data", str(data_csv), *argv[1:],
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestGenerateCommand:
@@ -218,10 +238,11 @@ class TestEstimateCommand:
         ["table1", "--out", "unused.csv"],
         ["benchmark", "--out", "unused.csv"],
     ], ids=["estimate", "table1", "benchmark"])
-    def test_interpolant_options_are_rejected(self, command, capsys):
-        # a script that still passes a pre-fitted interpolant or nodes
-        # stops at parsing instead of running with traces it did not ask for
-        for flag in ("--trace-interp", "--nodes"):
+    def test_removed_options_are_rejected(self, command, capsys):
+        # a script that still passes a pre-fitted interpolant, nodes or a
+        # root tolerance stops at parsing instead of running with settings
+        # it did not ask for
+        for flag in ("--trace-interp", "--nodes", "--eta-tol"):
             with pytest.raises(SystemExit) as exc:
                 main([*command, flag, "interp.json"])
             assert exc.value.code == 2
@@ -252,6 +273,15 @@ class TestTable1Command:
         rep = estimate_variances(GpModel(ds.z, X, K, ds.points))
         assert float(q2[4]) == pytest.approx(rep.hyperparams.sigma, abs=1e-4)
         assert float(q2[5]) == pytest.approx(rep.hyperparams.sigma0, abs=1e-4)
+
+    def test_generated_dataset_is_reproducible(self, tmp_path):
+        # without --data the dataset comes from --seed, which defaults to 0
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert main(["table1", "--n", "64", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_failed_rows_marked_and_run_continues(self, tmp_path):
         small = tmp_path / "small.csv"

@@ -380,7 +380,7 @@ class TestEstimateVariances:
         n = model.n
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         lam = np.linspace(-0.01, 3.0, n)
-        K = CorrelationMatrix((Q * lam) @ Q.T, "dense", n)
+        K = CorrelationMatrix((Q * lam) @ Q.T)
         report = estimate_variances(GpModel(model.z, model.X, K,
                                             model.points))
         jitter = report.diagnostics["jitter"]
@@ -490,6 +490,12 @@ class TestOutcomeClassification:
         assert classify_outcome(10.0, config) == "interior"
         assert classify_outcome(20.0, config) == "noise_dominated"
         assert classify_outcome(math.inf, config) == "noise_dominated"
+
+    @pytest.mark.parametrize("c, C", [(1e4, 1e-4), (1.0, 1.0), (0.0, 1e4),
+                                      (-1.0, 1e4), (math.nan, 1e4)])
+    def test_thresholds_without_interior_rejected(self, c, C):
+        with pytest.raises(InputError, match="0 < c < C"):
+            EstimateConfig(c_threshold=c, C_threshold=C)
 
     def test_direct_baselines_read_the_configured_thresholds(self):
         model = grid_model(n_side=9, seed=11)

@@ -165,7 +165,7 @@ class TestCorrelationMatrix:
         kernel = CorrelationKernel("exponential", 0.005, taper_threshold=0.03)
         K = correlation_matrix(grid_points(100), kernel)
         assert K.storage == "sparse"
-        density = K.diagnostics["nnz_density"]
+        density = K.entries.nnz / K.n ** 2
         assert 3e-4 < density < 1.5e-3
 
     def test_sparse_matches_dense_assembly(self):
@@ -354,7 +354,7 @@ class TestDenseMemoryGuard:
         self.limit(monkeypatch, 2.0)
         ExactTraceProvider(K)
         # dense K is already stored: only the eigensolver's copy
-        dense = CorrelationMatrix(K.toarray(), "dense", K.n)
+        dense = CorrelationMatrix(K.toarray())
         self.limit(monkeypatch, 0.9)
         with pytest.raises(InputError, match="dense eigensolve"):
             ExactTraceProvider(dense)

@@ -18,7 +18,7 @@ from etafit.traces import ExactTraceProvider
 
 
 def identity_corr(n):
-    return CorrelationMatrix(np.eye(n), "dense", n)
+    return CorrelationMatrix(np.eye(n))
 
 
 def identity_model(n=12, q=1, seed=0):
@@ -64,7 +64,7 @@ class TestSolver:
         K = correlation_matrix(pts, kernel)
         assert K.storage == "sparse"
         sparse = Solver(K)
-        dense = Solver(CorrelationMatrix(K.toarray(), "dense", K.n))
+        dense = Solver(CorrelationMatrix(K.toarray()))
         b = rng.standard_normal(60)
         np.testing.assert_allclose(sparse.solve(0.5, b), dense.solve(0.5, b),
                                    atol=1e-8)
@@ -92,7 +92,7 @@ class TestSolver:
         solver = Solver(dense)
         assert solver.K.storage == "dense" and solver.eigvals is not None
         entries = sparse.identity(10, format="csr")
-        solver = Solver(CorrelationMatrix(entries, "sparse", 10))
+        solver = Solver(CorrelationMatrix(entries))
         assert solver.K.storage == "sparse" and solver.eigvals is None
         with pytest.raises(TypeError):
             Solver(dense, "cg")
@@ -102,7 +102,7 @@ class TestSolver:
         n = 4
         A = np.eye(n)
         A[0, 1] = A[1, 0] = 1.0 + 1e-13  # barely indefinite
-        K = CorrelationMatrix(A, "dense", n)
+        K = CorrelationMatrix(A)
         solver = Solver(K)
         x = solver.solve(0.0, np.ones(n))
         assert solver.jitter > 0
@@ -116,7 +116,7 @@ class TestSolver:
         rng = np.random.default_rng(17)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         lam = np.linspace(-0.01, 2.0, n)
-        K = CorrelationMatrix((Q * lam) @ Q.T, "dense", n)
+        K = CorrelationMatrix((Q * lam) @ Q.T)
         solver = Solver(K)
         assert solver.jitter == pytest.approx(0.01 + 1e-10 * n, rel=1e-8)
         A = K.entries + (eta + solver.jitter) * np.eye(n)
@@ -141,7 +141,7 @@ def _oracle_cases():
     rng = np.random.default_rng(23)
     A = np.eye(4)
     A[0, 1] = A[1, 0] = 1.0 + 1e-13
-    cases = {"indefinite": (CorrelationMatrix(A, "dense", 4),
+    cases = {"indefinite": (CorrelationMatrix(A),
                             rng.standard_normal((4, 3)))}
     pts = rng.uniform(size=(150, 2))
     X = build_design(pts, BasisSpec("polynomial", 3))

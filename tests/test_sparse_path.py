@@ -46,8 +46,7 @@ class TestSparseEstimation:
 
     def test_sparse_agrees_with_densified_run(self, sparse_problem):
         report = estimate_variances(sparse_problem)
-        dense_K = CorrelationMatrix(sparse_problem.K.toarray(), "dense",
-                                    sparse_problem.K.n)
+        dense_K = CorrelationMatrix(sparse_problem.K.toarray())
         dense_model = GpModel(sparse_problem.z, sparse_problem.X, dense_K,
                               sparse_problem.points)
         dense_report = estimate_variances(
@@ -56,31 +55,29 @@ class TestSparseEstimation:
             dense_report.hyperparams.sigma0, rel=0.02)
 
     def test_sparse_logdet_matches_dense(self, sparse_problem):
-        cg = Solver(sparse_problem.K)
-        dense = Solver(CorrelationMatrix(sparse_problem.K.toarray(), "dense",
-                                         sparse_problem.K.n))
+        sparse_solver = Solver(sparse_problem.K)
+        dense = Solver(CorrelationMatrix(sparse_problem.K.toarray()))
         for eta in (0.5, 5.0):
-            assert cg.logdet(eta) == pytest.approx(dense.logdet(eta),
-                                                   rel=1e-9)
+            assert sparse_solver.logdet(eta) == pytest.approx(
+                dense.logdet(eta), rel=1e-9)
 
-    def test_profile_ell_on_cg_path(self, sparse_problem):
-        cg = Solver(sparse_problem.K)
-        dense = Solver(CorrelationMatrix(sparse_problem.K.toarray(), "dense",
-                                         sparse_problem.K.n))
+    def test_profile_ell_on_sparse_path(self, sparse_problem):
+        sparse_solver = Solver(sparse_problem.K)
+        dense = Solver(CorrelationMatrix(sparse_problem.K.toarray()))
         traces = ExactTraceProvider(sparse_problem.K)
         n_m = sparse_problem.n - sparse_problem.m
         for eta in (0.0, 0.05, 2.0, 40.0):
-            ev_cg = profile_ell(sparse_problem, eta, cg, traces,
-                                second_order=True)
+            ev_sparse = profile_ell(sparse_problem, eta, sparse_solver,
+                                    traces, second_order=True)
             ev_dense = profile_ell(sparse_problem, eta, dense, traces,
                                    second_order=True)
-            assert ev_cg.ell == pytest.approx(ev_dense.ell, rel=1e-8)
-            assert ev_cg.sigma2_hat == pytest.approx(ev_dense.sigma2_hat,
-                                                     rel=1e-8)
-            assert ev_cg.d_ell == pytest.approx(ev_dense.d_ell, rel=0,
-                                                abs=1e-8 * n_m)
+            assert ev_sparse.ell == pytest.approx(ev_dense.ell, rel=1e-8)
+            assert ev_sparse.sigma2_hat == pytest.approx(
+                ev_dense.sigma2_hat, rel=1e-8)
+            assert ev_sparse.d_ell == pytest.approx(ev_dense.d_ell, rel=0,
+                                                    abs=1e-8 * n_m)
             for field in ("z_m3_z", "trace_m1_sq", "d2_ell"):
-                assert getattr(ev_cg, field) == pytest.approx(
+                assert getattr(ev_sparse, field) == pytest.approx(
                     getattr(ev_dense, field), rel=1e-8), field
 
     @pytest.mark.parametrize("exact_traces", [False, True],
@@ -131,13 +128,14 @@ class TestSparseEstimation:
         assert solver.factor_s > 0.0
         assert solver.logdet(0.0) == Solver(sparse_problem.K).logdet(0.0)
 
-    def test_default_traces_on_cg_path_never_densify(self, sparse_problem,
-                                                     monkeypatch):
+    def test_default_traces_on_sparse_path_never_densify(self,
+                                                         sparse_problem,
+                                                         monkeypatch):
         # without a provider, a sparse solver uses its own Hutchinson route;
         # it must never form the dense n x n matrix
         solver = Solver(sparse_problem.K)
-        hutchinson = HutchinsonTraceProvider(
-            sparse_problem.K, solver, DEFAULT_HUTCHINSON_VECTORS, 0)
+        hutchinson = HutchinsonTraceProvider(solver,
+                                             DEFAULT_HUTCHINSON_VECTORS, 0)
 
         def densify(self):
             raise AssertionError("K.toarray() called on the sparse path")
@@ -182,7 +180,7 @@ def block_model(entries):
     n = entries.shape[0]
     rng = np.random.default_rng(1)
     points = rng.uniform(size=(n, 2))
-    K = CorrelationMatrix(sparse.csr_matrix(entries), "sparse", n)
+    K = CorrelationMatrix(sparse.csr_matrix(entries))
     X = build_design(points, BasisSpec("polynomial", 2))
     return GpModel(rng.standard_normal(n), X, K, points)
 
@@ -205,18 +203,17 @@ class TestLanczosGrams:
             # directions puts G_3 off by 4e-7
             model = block_model(sparse.kron(sparse.identity(200),
                                             [[1.0, 0.5], [0.5, 1.0]]))
-        cg = Solver(model.K)
-        dense = Solver(CorrelationMatrix(model.K.toarray(), "dense",
-                                         model.K.n))
+        sparse_solver = Solver(model.K)
+        dense = Solver(CorrelationMatrix(model.K.toarray()))
         for eta in (0.0, 1e-3, 2.0, 1e3):
-            got = cg.grams(model, eta, 3)
+            got = sparse_solver.grams(model, eta, 3)
             want = dense.grams(model, eta, 3)
             for p in range(3):
                 assert np.linalg.norm(got[p] - want[p]) <= \
                     1e-10 * np.linalg.norm(want[p]), (eta, p + 1)
         expected_steps = {"identity": 1, "two_eigenvalues": 2}
         if case in expected_steps:
-            assert cg.lanczos_steps == expected_steps[case]
+            assert sparse_solver.lanczos_steps == expected_steps[case]
         assert dense.lanczos_steps == 0
 
     def test_one_run_serves_every_eta(self, sparse_problem):
@@ -235,8 +232,7 @@ class TestLanczosGrams:
         from etafit.design import DesignMatrix
         X = sparse_problem.X.entries
         model = GpModel(sparse_problem.z,
-                        DesignMatrix(np.column_stack([X, X[:, 1]]),
-                                     X.shape[1] + 1),
+                        DesignMatrix(np.column_stack([X, X[:, 1]])),
                         sparse_problem.K, sparse_problem.points)
         with pytest.raises(ModelError):
             sigma2_hat(model, 0.5, Solver(sparse_problem.K))
@@ -265,7 +261,7 @@ class TestProbeTraces:
     def test_match_per_vector_superlu_solves(self, sparse_problem):
         K = sparse_problem.K
         solver = Solver(K)
-        provider = HutchinsonTraceProvider(K, solver,
+        provider = HutchinsonTraceProvider(solver,
                                            DEFAULT_HUTCHINSON_VECTORS, 0)
         V = rademacher_probes(K.n, DEFAULT_HUTCHINSON_VECTORS, 0)
         for eta in (0.0, 1e-3, 1.0, 16.8, 1e3):
@@ -273,7 +269,7 @@ class TestProbeTraces:
             W = np.column_stack([lu.solve(v) for v in V.T])
             want1 = np.mean(np.einsum("ij,ij->j", V, W))
             want2 = np.mean(np.einsum("ij,ij->j", W, W))
-            got1 = trace_inv_hutchinson(K, eta, solver,
+            got1 = trace_inv_hutchinson(eta, solver,
                                         DEFAULT_HUTCHINSON_VECTORS, 0)[0]
             assert abs(got1 - want1) <= 1e-10 * want1, eta
             assert abs(provider(eta, 1) - want1) <= 1e-10 * want1, eta
@@ -282,20 +278,19 @@ class TestProbeTraces:
     def test_one_probe_run_per_solver(self, sparse_problem):
         solver = Solver(sparse_problem.K)
         assert solver.probe_lanczos_steps == 0
-        trace_inv_hutchinson(sparse_problem.K, 0.0, solver, 20, seed=3)
+        trace_inv_hutchinson(0.0, solver, 20, seed=3)
         run = solver._probes[1]
         for eta in (1e-3, 2.0, 1e3):
-            trace_inv_hutchinson(sparse_problem.K, eta, solver, 20, seed=3)
-            HutchinsonTraceProvider(sparse_problem.K, solver, 20, 3)(eta, 2)
+            trace_inv_hutchinson(eta, solver, 20, seed=3)
+            HutchinsonTraceProvider(solver, 20, 3)(eta, 2)
         assert solver._probes[1] is run
         assert solver.probe_lanczos_steps == run.steps > 0
         # a model's Gram matrices use the other slot
         solver.grams(sparse_problem, 1.0, 2)
         assert solver._probes[1] is run
         assert solver.lanczos_steps > 0
-        dense = Solver(CorrelationMatrix(sparse_problem.K.toarray(), "dense",
-                                         sparse_problem.K.n))
-        trace_inv_hutchinson(dense.K, 1.0, dense, 20, seed=3)
+        dense = Solver(CorrelationMatrix(sparse_problem.K.toarray()))
+        trace_inv_hutchinson(1.0, dense, 20, seed=3)
         assert dense.probe_lanczos_steps == 0
 
 
@@ -305,8 +300,7 @@ class TestSolverErrors:
                             2 / sparse_problem.n)
         solver = Solver(sparse_problem.K)
         with pytest.raises(SolverError, match="stopped after 2 of 2 steps"):
-            trace_inv_hutchinson(sparse_problem.K, 1e-4, solver,
-                                 DEFAULT_HUTCHINSON_VECTORS)
+            trace_inv_hutchinson(1e-4, solver, DEFAULT_HUTCHINSON_VECTORS)
 
     def test_singular_logdet_raises_solver_error(self):
         K = duplicate_point_K()
@@ -327,7 +321,7 @@ class TestSolverErrors:
         n = 10
         entries = sparse.diags([0.8, 1.0, 0.8], [-1, 0, 1], shape=(n, n),
                                format="csr")
-        K = CorrelationMatrix(entries, "sparse", n)
+        K = CorrelationMatrix(entries)
         with pytest.raises(SolverError, match="not positive definite"):
             Solver(K).logdet(0.0)
         A = entries.toarray() + np.eye(n)
@@ -339,10 +333,9 @@ class TestSolverErrors:
         # definite, even when K + eta I is
         n = 10
         K = CorrelationMatrix(sparse.diags([0.8, 1.0, 0.8], [-1, 0, 1],
-                                           shape=(n, n), format="csr"),
-                              "sparse", n)
+                                           shape=(n, n), format="csr"))
         with pytest.raises(SolverError, match="K \\+ 0.0 I is not positive"):
-            trace_inv_hutchinson(K, 1.0, Solver(K), 4)
+            trace_inv_hutchinson(1.0, Solver(K), 4)
 
     def test_indefinite_grams_raise_solver_error(self):
         # the Lanczos run converges at eta = 0, so it needs K itself
@@ -358,7 +351,7 @@ class TestSolverErrors:
         rng = np.random.default_rng(0)
         pts = rng.uniform(size=(10, 2))
         col = rng.standard_normal(10)
-        X = DesignMatrix(np.column_stack([col, col]), 2)  # duplicate columns
+        X = DesignMatrix(np.column_stack([col, col]))  # duplicate columns
         K = correlation_matrix(pts, CorrelationKernel("exponential", 0.2))
         model = GpModel(rng.standard_normal(10), X, K, pts)
         with pytest.raises(ModelError):

@@ -1,11 +1,23 @@
-"""The scripts and import-time behaviour around the package, each run in a
-fresh interpreter on the source tree."""
+"""Checks around the package: its scripts and import-time behaviour, each
+run in a fresh interpreter on the source tree, the imports of its modules,
+and the arguments its API no longer takes."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from etafit import analysis, estimation
+from etafit.design import BasisSpec, DesignMatrix, build_design
+from etafit.kernels import (CorrelationKernel, CorrelationMatrix,
+                            correlation_matrix)
+from etafit.model import GpModel, Solver
+from etafit.traces import HutchinsonTraceProvider, trace_inv_hutchinson
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +49,65 @@ def test_import_does_not_load_scipy_optimize():
                              "print('scipy.optimize' in sys.modules)"])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def imported_names(tree):
+    """The names a module's imports bind, ``from __future__`` excluded."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_modules_use_every_name_they_import():
+    unused = {}
+    for path in sorted((ROOT / "src" / "etafit").glob("*.py")):
+        if path.name == "__init__.py":  # re-exports
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        names = [name for name in imported_names(tree) if name not in used]
+        if names:
+            unused[path.name] = names
+    assert not unused
+
+
+# calls that pass a value which is now derived from another input or is a
+# constant; each takes a small model (``removed_argument_model``)
+REMOVED_ARGUMENTS = {
+    "CorrelationMatrix_storage_n": lambda model: CorrelationMatrix(
+        model.K.entries, "dense", model.n),
+    "CorrelationMatrix_positional_duplicates": lambda model: CorrelationMatrix(
+        model.K.entries, False),
+    "CorrelationMatrix_diagnostics": lambda model: CorrelationMatrix(
+        model.K.entries, diagnostics={}),
+    "DesignMatrix_m": lambda model: DesignMatrix(model.X.entries, model.m),
+    "asymptote_large_n_approx": lambda model: analysis.asymptote_coefficients(
+        model, True),
+    "trace_inv_hutchinson_K": lambda model: trace_inv_hutchinson(
+        1.0, Solver(model.K), 2, K=model.K),
+    "HutchinsonTraceProvider_K": lambda model: HutchinsonTraceProvider(
+        model.K, Solver(model.K), 2, 0),
+    "EstimateConfig_eta_tol": lambda model: estimation.EstimateConfig(
+        eta_tol=1e-8),
+    "uniform_priors_nu_cap": lambda model: estimation.uniform_priors(30.0),
+}
+
+
+def removed_argument_model():
+    points = np.random.default_rng(0).uniform(size=(12, 2))
+    K = correlation_matrix(points, CorrelationKernel("exponential", 0.2))
+    X = build_design(points, BasisSpec("polynomial", 1))
+    return GpModel(np.sin(4.0 * points[:, 0]), X, K, points)
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_ARGUMENTS))
+def test_removed_arguments_raise_type_error(name):
+    model = removed_argument_model()
+    with pytest.raises(TypeError):
+        REMOVED_ARGUMENTS[name](model)

@@ -22,7 +22,7 @@ def random_spd(n, seed=0):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     S = A @ A.T / n + np.eye(n)
-    return CorrelationMatrix(S, "dense", n)
+    return CorrelationMatrix(S)
 
 
 def solver_traces(K):
@@ -32,7 +32,7 @@ def solver_traces(K):
 
 class TestExactTraces:
     def test_identity_closed_form(self):
-        K = CorrelationMatrix(np.eye(40), "dense", 40)
+        K = CorrelationMatrix(np.eye(40))
         for traces in (ExactTraceProvider(K), solver_traces(K)):
             for eta in (0.0, 1.0, 7.5):
                 assert traces(eta) == pytest.approx(40.0 / (1.0 + eta),
@@ -65,25 +65,25 @@ class TestExactTraces:
 
 class TestHutchinson:
     def test_identity_has_zero_variance(self):
-        K = CorrelationMatrix(np.eye(25), "dense", 25)
+        K = CorrelationMatrix(np.eye(25))
         solver = Solver(K)
-        est, stderr = trace_inv_hutchinson(K, 1.5, solver, 8, seed=0)
+        est, stderr = trace_inv_hutchinson(1.5, solver, 8, seed=0)
         assert est == pytest.approx(25.0 / 2.5, rel=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_single_vector_rejected(self):
-        K = CorrelationMatrix(np.eye(5), "dense", 5)
+        K = CorrelationMatrix(np.eye(5))
         solver = Solver(K)
         with pytest.raises(InputError):
-            trace_inv_hutchinson(K, 1.0, solver, 1)
+            trace_inv_hutchinson(1.0, solver, 1)
 
     def test_deterministic_given_seed(self):
         K = random_corr(60, seed=4)
         solver = Solver(K)
-        a = trace_inv_hutchinson(K, 0.5, solver, 10, seed=42)
-        b = trace_inv_hutchinson(K, 0.5, solver, 10, seed=42)
+        a = trace_inv_hutchinson(0.5, solver, 10, seed=42)
+        b = trace_inv_hutchinson(0.5, solver, 10, seed=42)
         assert a == b
-        c = trace_inv_hutchinson(K, 0.5, solver, 10, seed=43)
+        c = trace_inv_hutchinson(0.5, solver, 10, seed=43)
         assert a != c
 
     @pytest.mark.parametrize("storage", ["dense", "sparse"])
@@ -105,13 +105,13 @@ class TestHutchinson:
                                                  taper_threshold=0.05))
         assert K.storage == "sparse"
         if storage == "dense":
-            K = CorrelationMatrix(K.toarray(), "dense", K.n)
+            K = CorrelationMatrix(K.toarray())
         solver = Solver(K)
         assert solver.K.storage == storage
-        provider = HutchinsonTraceProvider(K, solver, 12, seed=5)
+        provider = HutchinsonTraceProvider(solver, 12, seed=5)
         for eta in (0.05, 1.0):
             ref1 = per_vector(K, eta, solver, 12, 5, 1)
-            assert trace_inv_hutchinson(K, eta, solver, 12, seed=5)[0] == \
+            assert trace_inv_hutchinson(eta, solver, 12, seed=5)[0] == \
                 pytest.approx(ref1, rel=1e-12)
             assert provider(eta, 1) == pytest.approx(ref1, rel=1e-12)
             assert provider(eta, 2) == pytest.approx(
@@ -126,7 +126,7 @@ class TestHutchinson:
         exact = ExactTraceProvider(K)(eta)
         hits = 0
         for seed in range(100):
-            est, stderr = trace_inv_hutchinson(K, eta, solver, 50, seed=seed)
+            est, stderr = trace_inv_hutchinson(eta, solver, 50, seed=seed)
             if abs(est - exact) <= 3.0 * stderr:
                 hits += 1
         assert hits >= 95
@@ -202,7 +202,7 @@ class TestTauInterpolant:
         K = random_corr(70, seed=14)
         solver = Solver(K)
         interp = fit_tau_interpolant(
-            K, (1.0, 10.0), HutchinsonTraceProvider(K, solver, 30, seed=1))
+            K, (1.0, 10.0), HutchinsonTraceProvider(solver, 30, seed=1))
         exact_traces = ExactTraceProvider(K)
         for eta in (0.5, 5.0, 50.0):
             exact = exact_traces(eta) / K.n
