@@ -23,7 +23,8 @@ from .errors import InputError, NumericError
 from .estimation import (EstimateConfig, direct_variances, estimate_variances,
                          inverse_square_priors, profile_optimize,
                          uniform_priors)
-from .kernels import CorrelationKernel, correlation_matrix
+from .kernels import (CorrelationKernel, CorrelationMatrix, correlation_matrix,
+                      require_dense_memory)
 from .model import GpModel, Solver
 from .traces import ExactTraceProvider, eval_tau, fit_tau_interpolant
 
@@ -261,9 +262,10 @@ def _benchmark_cell(n, storage, method, sigma0, seed, config):
 
 def cmd_benchmark(args) -> int:
     config = make_config(args)
-    dense_sizes = [int(v) for v in args.sizes.split(",") if v]
-    sparse_sizes = [int(v) for v in args.sparse_sizes.split(",") if v] \
-        if args.sparse_sizes else []
+    dense_sizes = [parse_number(v, "--sizes", int)
+                   for v in args.sizes.split(",") if v]
+    sparse_sizes = [parse_number(v, "--sparse-sizes", int)
+                    for v in args.sparse_sizes.split(",") if v]
     cells = [(n, "dense") for n in sorted(dense_sizes)]
     cells += [(n, "sparse") for n in sorted(sparse_sizes)]
     methods = ["profiled", "direct"]
@@ -294,6 +296,9 @@ def cmd_plotdata(args) -> int:
     lo, hi = parse_pair(args.eta_range, "--eta-range")
     if not 0.0 < lo < hi:
         raise InputError(f"--eta-range needs 0 < lo < hi, got {lo}, {hi}")
+    if args.grid_points < 1:
+        raise InputError(f"--grid-points must be at least 1, got "
+                         f"{args.grid_points}")
     dataset = load_dataset(args.data)
     basis = parse_basis(args.basis)
     kernel = parse_kernel(args.kernel)
@@ -327,12 +332,17 @@ def cmd_trace_interp(args) -> int:
     K = correlation_matrix(dataset.points, kernel)
     solver = Solver(K)
     interp = fit_tau_interpolant(
-        K, nodes, likelihood.trace_provider(solver, args.seed))
+        nodes, likelihood.trace_provider(solver, args.seed))
     _write_text(args.out, interp.to_json() + "\n")
     print(f"fitted tau interpolant: n={interp.n} nodes={list(interp.nodes)} "
           f"method={interp.method} cond={interp.cond:.3g}")
     if args.check:
-        exact_traces = ExactTraceProvider(K, solver.eigvals)
+        # sparse K has no spectrum: reduce a dense copy of it, which with
+        # the reduction's own copy takes two n x n arrays
+        if solver.eigvals is None:
+            require_dense_memory(K.n, 2.0, "its dense eigensolve")
+            solver = Solver(CorrelationMatrix(K.toarray()))
+        exact_traces = ExactTraceProvider(solver.eigvals)
         for e in np.logspace(-3, 3, 13):
             exact = exact_traces(e)
             approx = interp.n * eval_tau(interp, e)

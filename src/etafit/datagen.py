@@ -111,5 +111,12 @@ def load_dataset(path) -> Dataset:
     metadata = {"n": len(zs), "d": 2}
     sidecar = _sidecar(path)
     if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
+        try:
+            metadata = json.loads(sidecar.read_text())
+        except ValueError as exc:
+            raise InputError(f"metadata file {sidecar} is not valid JSON: "
+                             f"{exc}") from None
+        if not isinstance(metadata, dict):
+            raise InputError(f"metadata file {sidecar} must hold a JSON "
+                             f"object, not {type(metadata).__name__}")
     return Dataset(np.asarray(points), np.asarray(zs), metadata)

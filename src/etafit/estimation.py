@@ -370,7 +370,7 @@ def _degenerate_report(model: GpModel, started: float) -> EstimationReport:
                   "the likelihood is unbounded at sigma = 0"])
 
 
-def estimate_variances(model: GpModel, solver: Solver | None = None,
+def estimate_variances(model: GpModel,
                        config: EstimateConfig | None = None) -> EstimationReport:
     """End-to-end profiled estimator of (sigma^2, sigma0^2).
 
@@ -392,7 +392,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     config = config or EstimateConfig()
     if model.degenerate:
         return _degenerate_report(model, started)
-    solver = solver or Solver(model.K)
+    solver = Solver(model.K)
     n, m = model.n, model.m
     counters = {"ell": 0, "deriv": 0}
     warnings_out: list[str] = []
@@ -414,7 +414,7 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
     if solver.eigvals is not None or config.exact_traces:
         traces = backend_traces
     else:
-        interp = fit_tau_interpolant(model.K, DEFAULT_NODES, backend_traces)
+        interp = fit_tau_interpolant(DEFAULT_NODES, backend_traces)
         traces = InterpolantTraceProvider(interp, backend_traces)
     t_precompute = time.perf_counter() - started
 
@@ -556,7 +556,6 @@ def estimate_variances(model: GpModel, solver: Solver | None = None,
 
 def direct_variances(model: GpModel, init=(0.1, 0.1), tol: float = 1e-6,
                      max_evals: int = 2000,
-                     solver: Solver | None = None,
                      config: EstimateConfig | None = None) -> EstimationReport:
     """Direct 2-D Nelder-Mead maximization of ell(sigma, sigma0); baseline."""
     started = time.perf_counter()
@@ -565,7 +564,7 @@ def direct_variances(model: GpModel, init=(0.1, 0.1), tol: float = 1e-6,
         rep = _degenerate_report(model, started)
         rep.method = METHOD_DIRECT
         return rep
-    solver = solver or Solver(model.K)
+    solver = Solver(model.K)
     counters = {"ell": 0}
 
     def objective(x):

@@ -56,7 +56,7 @@ def trace_provider(solver: Solver, seed: int = 0):
     (no dense matrix)."""
     if solver.eigvals is None:
         return HutchinsonTraceProvider(solver, seed=seed)
-    return ExactTraceProvider(solver.K, solver.eigvals)
+    return ExactTraceProvider(solver.eigvals)
 
 
 def _pieces(model: GpModel, eta: float, solver: Solver,

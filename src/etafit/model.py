@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -99,19 +100,17 @@ class Solver:
     reflectors and never formed, and no eigenvector is computed.
     ``eigvals``, the spectrum of T from ``dsterf``, gives
     log det K_eta = sum log(lam + eta) and trace(K_eta^-p) =
-    sum (lam + eta)^-p.  ``grams`` and ``probe_grams`` rotate a block
-    C = Q'B once and read its Gram matrices from one banded Cholesky of
-    T + eta I per eta, the code that also serves the sparse Lanczos T
-    (``_banded_grams``); ``solve`` is Q (T + eta I)^-1 Q' B.  T and
-    ``eigvals`` carry ``jitter`` (see ``spectral_jitter``), so every one
-    of these describes K + jitter I.
+    sum (lam + eta)^-p.  The Krylov state of a block B is (T, Q'B, 0);
+    ``solve`` is Q (T + eta I)^-1 Q' B.  T and ``eigvals`` carry
+    ``jitter`` (see ``spectral_jitter``), so every one of these describes
+    K + jitter I.
 
-    Sparse storage works on the stored matrix only.  ``grams`` and
-    ``probe_grams`` run block Lanczos on their block once
-    (``BlockLanczos``; the step counts are ``lanczos_steps`` and
-    ``probe_lanczos_steps``), and ``solve`` and ``logdet`` use one
-    ``sparse_lu`` (symmetric-mode SuperLU, minimum-degree ordering of
-    K + K') of K_eta.  ``extreme_eigvals`` factors K itself once, in
+    Sparse storage works on the stored matrix only.  The Krylov state of
+    a block is that of one block Lanczos run on it (``block_lanczos``; the
+    step counts are ``lanczos_steps`` and ``probe_lanczos_steps``), and
+    ``solve`` and ``logdet`` use one ``sparse_lu`` (symmetric-mode
+    SuperLU, minimum-degree ordering of K + K') of K_eta.
+    ``extreme_eigvals`` factors K itself once, in
     ``factor_s`` seconds: the factor's inertia checks K positive definite,
     it is the shift-invert operator behind lambda_min, and its
     log-determinant is kept for ``logdet(0)``.  The factor itself is not
@@ -121,12 +120,13 @@ class Solver:
     (``eigvals`` is None), and the Lanczos runs need K itself positive
     definite, since they converge at eta = 0.
 
+    ``grams`` and ``probe_grams`` read a block's Gram matrices from its
+    ``KrylovState``, by one banded Cholesky per eta in either storage.
     ``grams`` gives the likelihood everything it needs from [X | z] as
     (m+1) x (m+1) Gram matrices, so no n x n work and no n-length vector
     leaves the solver per eta.  A solver is bound to one correlation
-    matrix, and keeps two Krylov states (the rotated C or the Lanczos
-    run): that of the model ``grams`` last served, and that of the probe
-    block ``probe_grams`` last served.
+    matrix, and keeps two Krylov states: that of the model ``grams`` last
+    served, and that of the probe block ``probe_grams`` last served.
     """
 
     def __init__(self, K: CorrelationMatrix):
@@ -159,7 +159,7 @@ class Solver:
                               f"info {info})")
         self.jitter = spectral_jitter(float(lam[0]), n)
         self.eigvals = lam + self.jitter
-        # lower band form of T + jitter I, as in BlockLanczos
+        # lower band form of T + jitter I, as in block_lanczos
         self._band = np.vstack([d + self.jitter, np.append(e, 0.0)])
         # Q fixes row 0; its reflectors are those of a QR factorization of
         # a[1:, :n-1].  This view keeps a's leading dimension n, of which
@@ -171,32 +171,28 @@ class Solver:
     def lanczos_steps(self) -> int:
         """Block Lanczos steps behind the model ``grams`` last served: 0 on
         dense K and before the first call."""
-        return self._steps(self._per_model)
+        return self._per_model[1].steps if self._per_model else 0
 
     @property
     def probe_lanczos_steps(self) -> int:
         """Block Lanczos steps behind the probe block ``probe_grams`` last
         served: 0 on dense K and before the first call."""
-        return self._steps(self._probes)
-
-    def _steps(self, slot) -> int:
-        return 0 if self._band is not None or slot is None else slot[1].steps
+        return self._probes[1].steps if self._probes else 0
 
     def grams(self, model: GpModel, eta: float, count: int) -> list:
         """[G_1, ..., G_count] with G_p = R' K_eta^{-p} R, R = [X | z].
 
-        Dense: C = Q'R is rotated once for the model the solver last
-        served, and G_p = C' (T + eta I)^-p C.  Sparse: one block Lanczos
-        run on R per model (``BlockLanczos``), and G_p is its
-        Gauss-quadrature form.  Either way one banded Cholesky per eta
-        (``_banded_grams``), O(n m^2) dense and O(k m^2) on the Lanczos T
-        of k steps.
+        R's ``KrylovState`` is built once for the model the solver last
+        served: C = Q'R on dense K, one block Lanczos run on R on sparse
+        K, where G_p is a Gauss-quadrature form.  Either way one banded
+        Cholesky per eta, O(n m^2) dense and O(k m^2) on the Lanczos T of
+        k steps.
         """
         _check_eta(eta)
         if self._per_model is None or self._per_model[0] is not model:
             R = np.column_stack([model.X.entries, model.z])
             self._per_model = (model, self._krylov_state(R))
-        return self._grams(self._per_model[1], eta, count)
+        return _banded_grams(self._per_model[1], eta, count)
 
     def probe_grams(self, n_vectors: int, seed: int, eta: float,
                     count: int) -> list:
@@ -212,18 +208,13 @@ class Solver:
         if self._probes is None or self._probes[0] != (n_vectors, seed):
             V = rademacher_probes(self.K.n, n_vectors, seed)
             self._probes = ((n_vectors, seed), self._krylov_state(V))
-        return self._grams(self._probes[1], eta, count)
+        return _banded_grams(self._probes[1], eta, count)
 
-    def _krylov_state(self, B: np.ndarray):
+    def _krylov_state(self, B: np.ndarray) -> KrylovState:
         if self._band is None:
-            return BlockLanczos(self.K.entries, B, LANCZOS_TOL,
-                                int(LANCZOS_STEPS_PER_POINT * self.K.n))
-        return self._rotate(B, "T")
-
-    def _grams(self, state, eta: float, count: int) -> list:
-        if self._band is None:
-            return state.grams(eta, count)
-        return _banded_grams(self._band, state, eta, count)
+            return block_lanczos(self.K.entries, B, LANCZOS_TOL,
+                                 int(LANCZOS_STEPS_PER_POINT * self.K.n))
+        return KrylovState(self._band, self._rotate(B, "T"), 0)
 
     def _rotate(self, B: np.ndarray, trans: str) -> np.ndarray:
         """Q'B (``trans`` "T") or QB ("N") for an n x k array B."""
@@ -324,12 +315,23 @@ def rademacher_probes(n: int, n_vectors: int, seed: int) -> np.ndarray:
         for seq in seqs])
 
 
-class BlockLanczos:
-    """Block Lanczos on R = Q_1 B_1 against a symmetric sparse K, kept as
-    its block-tridiagonal T (diagonal blocks A_j, couplings B_{j+1}) and
-    B_1; the basis is not stored.
+class KrylovState(NamedTuple):
+    """A block R as T (lower band form) and E with R' K_eta^-p R =
+    E' (T + eta I)^-p E after ``steps`` block Lanczos steps; 0 steps on
+    dense K, where T is the tridiagonal form of K and E = Q'R."""
 
-    ``grams(eta, p)`` is the Gauss-quadrature form
+    band: np.ndarray
+    E: np.ndarray
+    steps: int
+
+
+def block_lanczos(K, R: np.ndarray, tol: float,
+                  max_iter: int) -> KrylovState:
+    """Block Lanczos on R = Q_1 B_1 against a symmetric sparse K, kept as
+    the ``KrylovState`` of its block-tridiagonal T (diagonal blocks A_j,
+    couplings B_{j+1}) and E = E_1 B_1; the basis is not stored.
+
+    ``_banded_grams`` reads from it the Gauss-quadrature form
     B_1' E_1' (T + eta I)^-p E_1 B_1 of R' K_eta^-p R (Golub & Meurant,
     *Matrices, Moments and Quadrature*, 2010), which stays accurate
     without reorthogonalization (Meurant & Strakos 2006, *Acta Numerica*
@@ -342,52 +344,47 @@ class BlockLanczos:
     deflated, never normalized into new directions, and the run ends once
     none remain (the Krylov space is exhausted and T is exact).
     """
-
-    def __init__(self, K, R: np.ndarray, tol: float, max_iter: int):
-        b = R.shape[1]
-        Q, self.B1 = _deflated_qr(R, float(np.linalg.norm(R, axis=0).max()))
-        # lower band form of T: band[i - j, j] = T[i, j]; every coupling is
-        # b_{j+1} x b_j with b_j <= b, so T has lower bandwidth < 2b
-        self._band = np.zeros((2 * b, 0))
-        self.steps = 0
-        Q_prev = coupling = previous = None
-        change = math.inf
-        while Q.shape[1]:
-            if self.steps == max_iter:
-                raise SolverError(
-                    f"block Lanczos did not converge: stopped after "
-                    f"{self.steps} of {max_iter} steps (relative change "
-                    f"{change:.3e}, target {tol:.3e})")
-            W = K @ Q
-            self.steps += 1
-            scale = float(np.linalg.norm(W, axis=0).max())
-            if Q_prev is not None:
-                W -= Q_prev @ coupling.T
-            Q_prev = None  # released before the QR below makes Q_{j+1}
-            A = Q.T @ W
-            W -= Q @ A
-            A = 0.5 * (A + A.T)
-            bj = A.shape[0]
-            block = np.zeros((2 * b, bj))
-            for c in range(bj):
-                block[:bj - c, c] = A[c:, c]
-            self._band = np.hstack([self._band, block])
-            current = self.grams(0.0, 3)
-            if previous is not None:
-                change = max(_relative_change(g, h)
-                             for g, h in zip(current, previous))
-                if change <= tol:
-                    break
-            previous = current
-            Q_prev, (Q, coupling) = Q, _deflated_qr(W, scale)
-            for c in range(bj):
-                self._band[bj - c:bj - c + Q.shape[1], c - bj] = coupling[:, c]
-
-    def grams(self, eta: float, count: int) -> list:
-        """[G_1, ..., G_count] for E = E_1 B_1 (``_banded_grams``)."""
-        E = np.zeros((self._band.shape[1], self.B1.shape[1]))
-        E[:self.B1.shape[0]] = self.B1
-        return _banded_grams(self._band, E, eta, count)
+    b = R.shape[1]
+    Q, B1 = _deflated_qr(R, float(np.linalg.norm(R, axis=0).max()))
+    # lower band form of T: band[i - j, j] = T[i, j]; every coupling is
+    # b_{j+1} x b_j with b_j <= b, so T has lower bandwidth < 2b
+    band = np.zeros((2 * b, 0))
+    E = np.zeros((0, b))
+    steps = 0
+    Q_prev = coupling = previous = None
+    change = math.inf
+    while Q.shape[1]:
+        if steps == max_iter:
+            raise SolverError(
+                f"block Lanczos did not converge: stopped after "
+                f"{steps} of {max_iter} steps (relative change "
+                f"{change:.3e}, target {tol:.3e})")
+        W = K @ Q
+        steps += 1
+        scale = float(np.linalg.norm(W, axis=0).max())
+        if Q_prev is not None:
+            W -= Q_prev @ coupling.T
+        Q_prev = None  # released before the QR below makes Q_{j+1}
+        A = Q.T @ W
+        W -= Q @ A
+        A = 0.5 * (A + A.T)
+        bj = A.shape[0]
+        block = np.zeros((2 * b, bj))
+        for c in range(bj):
+            block[:bj - c, c] = A[c:, c]
+        band = np.hstack([band, block])
+        E = np.vstack([B1, np.zeros((band.shape[1] - len(B1), b))])
+        current = _banded_grams(KrylovState(band, E, steps), 0.0, 3)
+        if previous is not None:
+            change = max(_relative_change(g, h)
+                         for g, h in zip(current, previous))
+            if change <= tol:
+                break
+        previous = current
+        Q_prev, (Q, coupling) = Q, _deflated_qr(W, scale)
+        for c in range(bj):
+            band[bj - c:bj - c + Q.shape[1], c - bj] = coupling[:, c]
+    return KrylovState(band, E, steps)
 
 
 def _banded_cholesky(band: np.ndarray, eta: float) -> np.ndarray:
@@ -402,16 +399,16 @@ def _banded_cholesky(band: np.ndarray, eta: float) -> np.ndarray:
     return L
 
 
-def _banded_grams(band: np.ndarray, E: np.ndarray, eta: float,
-                  count: int) -> list:
-    """[G_1, ..., G_count] with G_p = E' (T + eta I)^-p E, from one banded
-    Cholesky of T + eta I (T in lower band form, see ``_banded_cholesky``).
+def _banded_grams(state: KrylovState, eta: float, count: int) -> list:
+    """[G_1, ..., G_count] with G_p = E' (T + eta I)^-p E for the state
+    (T, E) of a block R, from one banded Cholesky of T + eta I (T in lower
+    band form, see ``_banded_cholesky``).
     With K = Q T Q' and E = Q'R, G_p = R' K_eta^-p R: dense K gives T and
     Q exactly (tridiagonal, Householder), sparse K gives them by block
     Lanczos on R, where E = E_1 B_1 and G_p is a Gauss-quadrature form."""
-    L = _banded_cholesky(band, eta)
-    Y = lapack.dpbtrs(L, E, lower=1)[0]
-    grams = [E.T @ Y, Y.T @ Y][:count]
+    L = _banded_cholesky(state.band, eta)
+    Y = lapack.dpbtrs(L, state.E, lower=1)[0]
+    grams = [state.E.T @ Y, Y.T @ Y][:count]
     if count > 2:
         grams.append(Y.T @ lapack.dpbtrs(L, Y, lower=1)[0])
     return grams

@@ -1,8 +1,9 @@
 """Trace providers, callables (eta, power) -> trace((K + eta I)^-power):
-exact sums over the spectrum of dense K, Hutchinson estimates read from
-one Krylov run of a solver on the probe block, and the fractional-power interpolant fitted from either for cheap
-repeated evaluation.  ``likelihood.trace_provider`` picks the route that
-matches the solver's backend.
+exact sums over a spectrum of K that a backend hands over, Hutchinson
+estimates read from one Krylov run of a solver on the probe block, and the
+fractional-power interpolant fitted from either for cheap repeated
+evaluation.  ``likelihood.trace_provider`` picks the route that matches the
+solver's backend; nothing here reads K itself.
 
 The interpolant represents the normalized trace tau(eta) = trace(K_eta^{-1})/n
 through 1/tau(eta) = 1/tau0 + sum_i w_i eta^{1/(i+1)} with w_0 = 1 fixed, so
@@ -15,14 +16,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import InputError, NumericError
-from .kernels import require_dense_memory
-from .model import spectral_jitter
 
 MAX_INTERPOLANT_NODES = 8
 DEFAULT_NODES = (1.0, 10.0, 40.0, 100.0, 1000.0)
@@ -69,22 +68,14 @@ class TraceInterpolant:
         return self.n * eval_tau(self, eta)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "nodes": list(self.nodes),
-            "tau0": self.tau0,
-            "tau_values": list(self.tau_values),
-            "weights": list(self.weights),
-            "n": self.n,
-            "method": self.method,
-            "seed": self.seed,
-            "cond": self.cond,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
-def fit_tau_interpolant(K, nodes, traces) -> TraceInterpolant:
+def fit_tau_interpolant(nodes, traces) -> TraceInterpolant:
     """Compute tau at eta=0 and the nodes from the provider ``traces``
-    (``ExactTraceProvider`` or ``HutchinsonTraceProvider``, whose ``method``
-    and ``seed`` the interpolant records), then solve for the weights.
+    (``ExactTraceProvider`` or ``HutchinsonTraceProvider``, whose ``n``,
+    ``method`` and ``seed`` the interpolant records), then solve for the
+    weights.
 
     The p x p node system is solved by dense LU with partial pivoting; its
     condition number is recorded and a warning is emitted when it is large.
@@ -102,7 +93,7 @@ def fit_tau_interpolant(K, nodes, traces) -> TraceInterpolant:
         raise InputError("interpolation nodes must be distinct")
     nodes = tuple(sorted(nodes))
 
-    n = K.n
+    n = traces.n
     tau0 = traces(0.0) / n
     tau_values = tuple(traces(e) / n for e in nodes)
 
@@ -153,30 +144,15 @@ def eval_tau(interp: TraceInterpolant, eta: float) -> float:
 
 
 class ExactTraceProvider:
-    """Callable (eta, power) -> trace(K_eta^{-power}) = sum (lam + eta)^-power.
-
-    ``eigvals`` is a spectrum already known, such as a dense Solver's
-    ``eigvals``.  Without it the full spectrum of K is computed once (K is
-    densified) and shifted by the solver's jitter policy: the dense oracle.
-    It raises InputError up front when the available memory cannot hold
-    the dense copy of sparse K and the eigensolver's own copy.
-    """
+    """Callable (eta, power) -> trace(K_eta^{-power}) = sum (lam + eta)^-power
+    over a given spectrum ``eigvals`` of K, such as a dense Solver's."""
 
     method = "exact"
     seed = None
 
-    def __init__(self, K, eigvals: np.ndarray | None = None):
-        if eigvals is None:
-            copies = 2.0 if K.storage == "sparse" else 1.0
-            require_dense_memory(K.n, copies, "its dense eigensolve")
-            try:
-                eigvals = sla.eigvalsh(K.toarray(), check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(
-                    f"eigendecomposition failed: {exc}") from None
-            eigvals = eigvals + spectral_jitter(float(eigvals[0]),
-                                                eigvals.size)
+    def __init__(self, eigvals: np.ndarray):
         self.eigvals = eigvals
+        self.n = eigvals.size
 
     def __call__(self, eta: float, power: int = 1) -> float:
         return float(np.sum((self.eigvals + eta) ** (-power)))
@@ -192,6 +168,7 @@ class HutchinsonTraceProvider:
     def __init__(self, solver, n_vectors: int = DEFAULT_HUTCHINSON_VECTORS,
                  seed: int = 0):
         self.solver = solver
+        self.n = solver.K.n
         self.n_vectors = n_vectors
         self.seed = seed
 

@@ -1,16 +1,20 @@
 """Shared fixtures: small random model instances and dense oracles.
 
 The dense helpers build M_{1,eta}, P_eta, G, H explicitly from their
-definitions with plain inverses; the library under test never does, so
-these serve as independent references.
+definitions with plain inverses, and the trace oracle reads the spectrum
+of K from LAPACK's dense symmetric eigensolver; the library under test
+never does either, so these serve as independent references.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from etafit.design import BasisSpec, build_design
-from etafit.kernels import CorrelationKernel, correlation_matrix
-from etafit.model import GpModel, Solver
+from etafit.kernels import (CorrelationKernel, correlation_matrix,
+                            require_dense_memory)
+from etafit.model import GpModel, Solver, spectral_jitter
+from etafit.traces import ExactTraceProvider
 
 
 def random_model(n=8, q=1, seed=0, alpha=0.4, noise=0.3):
@@ -27,6 +31,18 @@ def random_model(n=8, q=1, seed=0, alpha=0.4, noise=0.3):
 
 def dense_solver(model):
     return Solver(model.K)
+
+
+def oracle_traces(K):
+    """The dense trace oracle: exact traces over the full spectrum of K
+    (densified, ``eigvalsh``), shifted by the library's jitter policy.  It
+    raises InputError up front when the available memory cannot hold the
+    dense copy of sparse K and the eigensolver's own copy."""
+    copies = 2.0 if K.storage == "sparse" else 1.0
+    require_dense_memory(K.n, copies, "its dense eigensolve")
+    eigvals = sla.eigvalsh(K.toarray(), check_finite=False)
+    return ExactTraceProvider(
+        eigvals + spectral_jitter(float(eigvals[0]), eigvals.size))
 
 
 def m_action(model, eta, solver):

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import etafit
-from conftest import dense_g_h, dense_m1, m_action, random_model
+from conftest import (dense_g_h, dense_m1, m_action, oracle_traces,
+                      random_model)
 from etafit import likelihood
 from etafit.datagen import generate_synthetic
 from etafit.design import BasisSpec, build_design
@@ -28,9 +29,8 @@ from etafit.estimation import (EstimateConfig, chandrupatla_root,
                                profile_optimize, uniform_priors)
 from etafit.kernels import CorrelationKernel, correlation_matrix
 from etafit.model import GpModel, Solver
-from etafit.traces import (DEFAULT_NODES, ExactTraceProvider,
-                           InterpolantTraceProvider, eval_tau,
-                           fit_tau_interpolant)
+from etafit.traces import (DEFAULT_NODES, InterpolantTraceProvider,
+                           eval_tau, fit_tau_interpolant)
 
 # Noise seeds for the regenerated datasets (documented reference runs).
 REFERENCE_SEED = 23
@@ -125,7 +125,7 @@ def test_criterion_3_derivative_curve_structure(reference):
     dist2 = min(abs(math.log10(r) - t_exact) for r in roots2)
 
     solver = Solver(model.K)
-    traces = ExactTraceProvider(model.K)
+    traces = oracle_traces(model.K)
     spectrum = etafit.spectrum_bounds(solver)
     inside = True
     for eta in np.logspace(-3, 3, 19):
@@ -176,8 +176,7 @@ def test_criterion_5_root_finder_convergence(reference):
     brackets = report.diagnostics["brackets"]
     iter_counts = [b["iterations"] for b in brackets]
 
-    interp = fit_tau_interpolant(model.K, DEFAULT_NODES,
-                                 ExactTraceProvider(model.K))
+    interp = fit_tau_interpolant(DEFAULT_NODES, oracle_traces(model.K))
     traces = InterpolantTraceProvider(interp)
     solver = Solver(model.K)
 
@@ -244,7 +243,7 @@ def test_criterion_7_gradient_oracle_suite():
     for seed in range(10):
         model = random_model(n=24, q=1, seed=100 + seed, alpha=0.3)
         solver = Solver(model.K)
-        traces = ExactTraceProvider(model.K)
+        traces = oracle_traces(model.K)
         for eta in np.logspace(-2, 2, 20):
             h = 1e-5 * eta
             fd1 = (likelihood.profile_ell(model, eta + h, solver, traces).ell
@@ -276,7 +275,7 @@ def test_criterion_8_dense_oracle_equivalence():
     for seed in (200, 201, 202):
         model = random_model(n=8, q=1, seed=seed, alpha=0.4)
         solver = Solver(model.K)
-        traces = ExactTraceProvider(model.K)
+        traces = oracle_traces(model.K)
         n, m, z = model.n, model.m, model.z
         for eta in (0.3, 2.0):
             M = dense_m1(model, eta)
@@ -328,8 +327,8 @@ def interpolation_problem():
     rng = np.random.default_rng(7)
     pts = rng.uniform(size=(500, 2))
     K = correlation_matrix(pts, CorrelationKernel("exponential", 0.1))
-    exact = ExactTraceProvider(K)
-    interp = fit_tau_interpolant(K, (1.0, 10.0, 40.0, 100.0, 1000.0), exact)
+    exact = oracle_traces(K)
+    interp = fit_tau_interpolant((1.0, 10.0, 40.0, 100.0, 1000.0), exact)
     return K, exact, interp
 
 
@@ -360,7 +359,7 @@ def test_criterion_9_trace_interpolation(interpolation_problem):
         approx = K.n * eval_tau(interp, eta)
         worst = max(worst, abs(approx - exact) / exact)
 
-    flat = fit_tau_interpolant(K, (), exact_traces)
+    flat = fit_tau_interpolant((), exact_traces)
     upper_bound_holds = True
     for eta in np.logspace(-3, 3, 25):
         exact_tau = exact_traces(eta) / K.n

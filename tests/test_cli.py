@@ -59,15 +59,36 @@ class TestParsers:
     (["trace-interp", "--nodes", "1,a"], "--nodes"),
     (["plotdata", "--eta-range", "0,10"], "--eta-range"),
     (["plotdata", "--eta-range", "10,1"], "--eta-range"),
+    (["plotdata", "--grid-points", "-3"], "--grid-points"),
+    (["plotdata", "--grid-points", "0"], "--grid-points"),
+    (["benchmark", "--sizes", "16,abc"], "--sizes"),
+    (["benchmark", "--sparse-sizes", "x"], "--sparse-sizes"),
 ], ids=["kernel", "basis", "thresholds", "empty_window", "nodes",
-        "eta_range_zero", "eta_range_reversed"])
+        "eta_range_zero", "eta_range_reversed", "grid_points_negative",
+        "grid_points_zero", "sizes", "sparse_sizes"])
 def test_malformed_argument_exits_2(argv, message, data_csv, tmp_path,
                                     capsys):
-    rc = main([argv[0], "--data", str(data_csv), *argv[1:],
-               "--out", str(tmp_path / "out")])
+    data = [] if argv[0] == "benchmark" else ["--data", str(data_csv)]
+    rc = main([argv[0], *data, *argv[1:], "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, metadata", [
+    ("estimate", "{not json"),
+    ("table1", "[1,2]"),
+], ids=["not_json", "not_an_object"])
+def test_malformed_metadata_sidecar_exits_2(command, metadata, data_csv,
+                                            tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text(data_csv.read_text())
+    (tmp_path / "data.csv.json").write_text(metadata)
+    rc = main([command, "--data", str(data), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "data.csv.json" in err
     assert not (tmp_path / "out").exists()
 
 

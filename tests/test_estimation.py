@@ -269,7 +269,7 @@ class TestEstimateVariances:
         assert report.diagnostics["trace"]["interpolated"]
         solver = Solver(model.K)
         interp = fit_tau_interpolant(
-            model.K, DEFAULT_NODES,
+            DEFAULT_NODES,
             likelihood.trace_provider(solver, config.seed))
         traces = InterpolantTraceProvider(interp)
         f_tol = config.f_tol_scale * (model.n - model.m)

@@ -343,23 +343,23 @@ class TestDenseMemoryGuard:
 
     def test_dense_oracle_refused_beyond_available_memory(self, monkeypatch):
         from etafit.kernels import CorrelationMatrix
-        from etafit.traces import ExactTraceProvider
+        from conftest import oracle_traces
         K = correlation_matrix(self.points(), CorrelationKernel(
             "exponential", 0.01, taper_threshold=0.05))
         assert K.storage == "sparse"
         # the dense copy of sparse K and the eigensolver's own copy
         self.limit(monkeypatch, 1.9)
         with pytest.raises(InputError, match="dense eigensolve"):
-            ExactTraceProvider(K)
+            oracle_traces(K)
         self.limit(monkeypatch, 2.0)
-        ExactTraceProvider(K)
+        oracle_traces(K)
         # dense K is already stored: only the eigensolver's copy
         dense = CorrelationMatrix(K.toarray())
         self.limit(monkeypatch, 0.9)
         with pytest.raises(InputError, match="dense eigensolve"):
-            ExactTraceProvider(dense)
+            oracle_traces(dense)
         self.limit(monkeypatch, 1.0)
-        ExactTraceProvider(dense)
+        oracle_traces(dense)
 
     def test_probe_reads_a_positive_byte_count(self):
         assert etafit.kernels.available_memory() > 0

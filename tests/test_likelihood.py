@@ -131,7 +131,7 @@ class TestEtaDerivatives:
     def test_second_derivative_reads_no_power_one_trace(self):
         model = random_model(n=20, seed=30)
         solver = dense_solver(model)
-        exact = ExactTraceProvider(model.K, solver.eigvals)
+        exact = ExactTraceProvider(solver.eigvals)
         powers = []
 
         def counting(eta, power=1):

@@ -17,7 +17,8 @@ from etafit.design import BasisSpec, DesignMatrix, build_design
 from etafit.kernels import (CorrelationKernel, CorrelationMatrix,
                             correlation_matrix)
 from etafit.model import GpModel, Solver
-from etafit.traces import HutchinsonTraceProvider, trace_inv_hutchinson
+from etafit.traces import (ExactTraceProvider, HutchinsonTraceProvider,
+                           fit_tau_interpolant, trace_inv_hutchinson)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,11 +45,20 @@ def test_reference_workflow_script_writes_its_artifacts(tmp_path):
     assert report["hyperparams"]["sigma02"] > 0
 
 
+# the public scipy subpackages ``import etafit`` may load; each one more
+# (scipy.optimize, for one) adds to the import time of every run
+SCIPY_SUBPACKAGES = {"constants", "linalg", "sparse", "spatial", "special"}
+
+
 def test_import_does_not_load_scipy_optimize():
-    done = run_python(["-c", "import sys, etafit; "
-                             "print('scipy.optimize' in sys.modules)"])
+    done = run_python(["-c", "import json, sys, etafit; print(json.dumps(["
+                             "name for name, module in sys.modules.items() "
+                             "if name.startswith('scipy.') "
+                             "and hasattr(module, '__path__')]))"])
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    loaded = {name.split(".")[1] for name in json.loads(done.stdout)}
+    assert {name for name in loaded if not name.startswith("_")} \
+        <= SCIPY_SUBPACKAGES
 
 
 def imported_names(tree):
@@ -60,6 +70,29 @@ def imported_names(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name
+
+
+def package_imports(path):
+    """The etafit modules a module imports from, by their short names."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules.update([node.module] if node.module
+                           else (alias.name for alias in node.names))
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module.startswith("etafit."):
+            modules.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[1] for alias in node.names
+                           if alias.name.startswith("etafit."))
+    return modules
+
+
+def test_trace_layer_reads_no_correlation_matrix():
+    # traces sum a spectrum or read Gram matrices a backend hands them;
+    # neither K nor the backends that hold it are theirs to import
+    traces = ROOT / "src" / "etafit" / "traces.py"
+    assert package_imports(traces) == {"errors"}
 
 
 def test_modules_use_every_name_they_import():
@@ -96,6 +129,14 @@ REMOVED_ARGUMENTS = {
     "EstimateConfig_eta_tol": lambda model: estimation.EstimateConfig(
         eta_tol=1e-8),
     "uniform_priors_nu_cap": lambda model: estimation.uniform_priors(30.0),
+    "estimate_variances_solver": lambda model: estimation.estimate_variances(
+        model, solver=Solver(model.K)),
+    "direct_variances_solver": lambda model: estimation.direct_variances(
+        model, solver=Solver(model.K)),
+    "ExactTraceProvider_K": lambda model: ExactTraceProvider(
+        model.K, Solver(model.K).eigvals),
+    "fit_tau_interpolant_K": lambda model: fit_tau_interpolant(
+        model.K, (1.0,), ExactTraceProvider(Solver(model.K).eigvals)),
 }
 
 

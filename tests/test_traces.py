@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_traces
 from etafit.errors import InputError
 from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
@@ -27,20 +28,20 @@ def random_spd(n, seed=0):
 
 def solver_traces(K):
     """Exact traces from the dense solver's own spectrum."""
-    return ExactTraceProvider(K, Solver(K).eigvals)
+    return ExactTraceProvider(Solver(K).eigvals)
 
 
 class TestExactTraces:
     def test_identity_closed_form(self):
         K = CorrelationMatrix(np.eye(40))
-        for traces in (ExactTraceProvider(K), solver_traces(K)):
+        for traces in (oracle_traces(K), solver_traces(K)):
             for eta in (0.0, 1.0, 7.5):
                 assert traces(eta) == pytest.approx(40.0 / (1.0 + eta),
                                                     rel=1e-12)
 
     def test_eigen_matches_explicit_inverse(self):
         K = random_spd(50, seed=1)
-        traces = ExactTraceProvider(K)
+        traces = oracle_traces(K)
         for eta in (0.0, 0.3, 10.0):
             expected = float(np.trace(np.linalg.inv(
                 K.entries + eta * np.eye(50))))
@@ -58,7 +59,7 @@ class TestExactTraces:
 
     def test_oracle_and_solver_spectrum_agree(self):
         K = random_corr(200, seed=3)
-        oracle, traces = ExactTraceProvider(K), solver_traces(K)
+        oracle, traces = oracle_traces(K), solver_traces(K)
         for eta in (0.1, 1.0, 100.0):
             assert traces(eta) == pytest.approx(oracle(eta), rel=1e-8)
 
@@ -123,7 +124,7 @@ class TestHutchinson:
         K = random_corr(300, seed=5)
         solver = Solver(K)
         eta = 1.0
-        exact = ExactTraceProvider(K)(eta)
+        exact = oracle_traces(K)(eta)
         hits = 0
         for seed in range(100):
             est, stderr = trace_inv_hutchinson(eta, solver, 50, seed=seed)
@@ -135,22 +136,22 @@ class TestHutchinson:
 class TestTauInterpolant:
     def test_exact_at_origin_and_nodes(self):
         K = random_corr(80, seed=6)
-        interp = fit_tau_interpolant(K, (1.0, 10.0, 100.0), ExactTraceProvider(K))
+        interp = fit_tau_interpolant((1.0, 10.0, 100.0), oracle_traces(K))
         assert eval_tau(interp, 0.0) == interp.tau0
         for node, tau in zip(interp.nodes, interp.tau_values):
             assert eval_tau(interp, node) == pytest.approx(tau, rel=1e-8)
 
     def test_weights_start_with_unit_coefficient(self):
         K = random_corr(40, seed=7)
-        interp = fit_tau_interpolant(K, (1.0, 30.0), ExactTraceProvider(K))
+        interp = fit_tau_interpolant((1.0, 30.0), oracle_traces(K))
         assert interp.weights[0] == 1.0
         assert len(interp.weights) == 3
 
     def test_p_zero_is_upper_bound(self):
         # with no nodes the interpolant provably bounds tau from above
         K = random_corr(120, seed=8)
-        exact_traces = ExactTraceProvider(K)
-        interp = fit_tau_interpolant(K, (), exact_traces)
+        exact_traces = oracle_traces(K)
+        interp = fit_tau_interpolant((), exact_traces)
         for eta in np.logspace(-3, 4, 30):
             exact = exact_traces(eta) / K.n
             assert eval_tau(interp, eta) >= exact * (1.0 - 1e-12)
@@ -160,8 +161,8 @@ class TestTauInterpolant:
         # and the last node; below the first node only the exact tau0
         # anchor remains
         K = random_corr(200, seed=9, alpha=0.15)
-        exact_traces = ExactTraceProvider(K)
-        interp = fit_tau_interpolant(K, (1.0, 10.0, 40.0, 100.0, 1000.0),
+        exact_traces = oracle_traces(K)
+        interp = fit_tau_interpolant((1.0, 10.0, 40.0, 100.0, 1000.0),
                                      exact_traces)
         for eta in np.logspace(0, 3, 25):
             exact = exact_traces(eta) / K.n
@@ -169,15 +170,15 @@ class TestTauInterpolant:
 
     def test_tau_is_decreasing_over_node_range(self):
         K = random_corr(90, seed=10)
-        interp = fit_tau_interpolant(K, (1.0, 10.0, 100.0), ExactTraceProvider(K))
+        interp = fit_tau_interpolant((1.0, 10.0, 100.0), oracle_traces(K))
         grid = np.logspace(0, 2, 60)
         vals = [eval_tau(interp, e) for e in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_large_eta_asymptote(self):
         K = random_corr(100, seed=11)
-        exact_traces = ExactTraceProvider(K)
-        interp = fit_tau_interpolant(K, (1.0, 10.0, 100.0, 1000.0),
+        exact_traces = oracle_traces(K)
+        interp = fit_tau_interpolant((1.0, 10.0, 100.0, 1000.0),
                                      exact_traces)
         eta = 1e6
         exact = exact_traces(eta)
@@ -188,22 +189,22 @@ class TestTauInterpolant:
     def test_too_many_nodes_rejected(self):
         K = random_corr(30, seed=12)
         with pytest.raises(InputError):
-            fit_tau_interpolant(K, tuple(float(i) for i in range(1, 11)),
-                                ExactTraceProvider(K))
+            fit_tau_interpolant(tuple(float(i) for i in range(1, 11)),
+                                oracle_traces(K))
 
     def test_bad_nodes_rejected(self):
         K = random_corr(30, seed=12)
         with pytest.raises(InputError):
-            fit_tau_interpolant(K, (1.0, 1.0), ExactTraceProvider(K))
+            fit_tau_interpolant((1.0, 1.0), oracle_traces(K))
         with pytest.raises(InputError):
-            fit_tau_interpolant(K, (-1.0, 2.0), ExactTraceProvider(K))
+            fit_tau_interpolant((-1.0, 2.0), oracle_traces(K))
 
     def test_hutchinson_backed_fit(self):
         K = random_corr(70, seed=14)
         solver = Solver(K)
         interp = fit_tau_interpolant(
-            K, (1.0, 10.0), HutchinsonTraceProvider(solver, 30, seed=1))
-        exact_traces = ExactTraceProvider(K)
+            (1.0, 10.0), HutchinsonTraceProvider(solver, 30, seed=1))
+        exact_traces = oracle_traces(K)
         for eta in (0.5, 5.0, 50.0):
             exact = exact_traces(eta) / K.n
             assert eval_tau(interp, eta) == pytest.approx(exact, rel=0.1)
@@ -212,12 +213,12 @@ class TestTauInterpolant:
     @given(eta=st.floats(0.0, 1e6))
     def test_eval_tau_positive(self, eta):
         K = random_corr(30, seed=15)
-        interp = fit_tau_interpolant(K, (1.0, 10.0), ExactTraceProvider(K))
+        interp = fit_tau_interpolant((1.0, 10.0), oracle_traces(K))
         assert eval_tau(interp, eta) > 0.0
 
     def test_nonfinite_eta_rejected(self):
         K = random_corr(20, seed=16)
-        interp = fit_tau_interpolant(K, (1.0,), ExactTraceProvider(K))
+        interp = fit_tau_interpolant((1.0,), oracle_traces(K))
         with pytest.raises(InputError):
             eval_tau(interp, float("nan"))
         with pytest.raises(InputError):
