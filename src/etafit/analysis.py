@@ -26,7 +26,7 @@ LARGE_N_FACTOR = 50
 
 @dataclass
 class SpectrumSummary:
-    """Smallest and largest eigenvalues of the correlation matrix."""
+    """Extreme eigenvalues of K, or certified Ritz bounds on them if sparse."""
 
     lambda_min: float
     lambda_max: float
@@ -52,8 +52,8 @@ class AsymptoteCoefficients:
 
 def spectrum_bounds(solver: Solver) -> SpectrumSummary:
     """Extreme eigenvalues of the solver's K (``Solver.extreme_eigvals``):
-    the ends of the dense spectrum, or eigsh on sparse K, where an
-    indefinite K raises SolverError first."""
+    the ends of the dense spectrum, or certified Ritz bounds on sparse K,
+    where an indefinite K raises SolverError first."""
     return SpectrumSummary(*solver.extreme_eigvals())
 
 

@@ -330,6 +330,9 @@ def cmd_trace_interp(args) -> int:
     dataset = load_dataset(args.data)
     kernel = parse_kernel(args.kernel)
     K = correlation_matrix(dataset.points, kernel)
+    if args.check and K.storage == "sparse":
+        # --check reduces a dense copy of sparse K: two n x n arrays
+        require_dense_memory(K.n, 2.0, "its dense eigensolve")
     solver = Solver(K)
     interp = fit_tau_interpolant(
         nodes, likelihood.trace_provider(solver, args.seed))
@@ -337,10 +340,7 @@ def cmd_trace_interp(args) -> int:
     print(f"fitted tau interpolant: n={interp.n} nodes={list(interp.nodes)} "
           f"method={interp.method} cond={interp.cond:.3g}")
     if args.check:
-        # sparse K has no spectrum: reduce a dense copy of it, which with
-        # the reduction's own copy takes two n x n arrays
         if solver.eigvals is None:
-            require_dense_memory(K.n, 2.0, "its dense eigensolve")
             solver = Solver(CorrelationMatrix(K.toarray()))
         exact_traces = ExactTraceProvider(solver.eigvals)
         for e in np.logspace(-3, 3, 13):

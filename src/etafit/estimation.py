@@ -284,7 +284,8 @@ class EstimateConfig:
     Hutchinson estimates and, unless ``exact_traces`` is set, an
     interpolant fitted from them at ``traces.DEFAULT_NODES`` in the same
     run; both read one block Lanczos run on the probes per solver.  The
-    dense backend always uses exact traces.
+    spectrum reads the seed-0 run, so a non-zero ``seed`` costs one more.
+    The dense backend always uses exact traces.
 
     An eta in [c_threshold, C_threshold], 0 < c < C, is interior.
     ``f_tol_scale`` is a constant, not a setting: it is the bound on
@@ -380,9 +381,9 @@ def estimate_variances(model: GpModel,
 
     With the dense solver (dense K) the spectrum and every trace are
     exact: they come from the eigenvalues of its one tridiagonal
-    reduction.  On sparse K the spectrum bounds come from eigsh around
-    one sparse LU of K, which also gives log det K, and the trace
-    interpolant is fitted from Hutchinson estimates
+    reduction.  On sparse K one LU of K checks it and gives log det K, the
+    spectrum bounds are certified Ritz values of the seed-0 probe run, and
+    the trace interpolant is fitted from Hutchinson estimates
     (``Solver.probe_grams``), unless ``config`` asks for exact traces.
     ``diagnostics["timing"]["factor"]`` gives the seconds of the solver's
     one factorization of K, in either storage.  Each root is searched

@@ -292,8 +292,17 @@ def require_dense_memory(n: int, copies: float, what: str) -> None:
     if have is not None and need > have:
         raise InputError(
             f"dense K at n={n} needs about {need / 2**20:.0f} MiB for {what}, "
-            f"but only {have / 2**20:.0f} MiB of memory is available; use a "
-            f"tapered kernel (such as exp:0.1:taper=0.05) for sparse storage")
+            f"but only {have / 2**20:.0f} MiB of memory is available")
+
+
+def require_dense_K_memory(n: int, copies: float, what: str) -> None:
+    """``require_dense_memory`` for K stored dense, advising the sparse
+    storage of a tapered kernel, which a copy of sparse K cannot use."""
+    try:
+        require_dense_memory(n, copies, what)
+    except InputError as exc:
+        raise InputError(f"{exc}; use a tapered kernel (such as "
+                         f"exp:0.1:taper=0.05) for sparse storage") from None
 
 
 def _assembly_copies(kernel: CorrelationKernel) -> float:
@@ -339,7 +348,7 @@ def correlation_matrix(points: np.ndarray,
         return CorrelationMatrix(entries, has_duplicates=has_duplicates)
 
     # its peak exceeds that of K plus the tridiagonal reduction (2 copies)
-    require_dense_memory(n, _assembly_copies(kernel), "its assembly")
+    require_dense_K_memory(n, _assembly_copies(kernel), "its assembly")
     # one triangle: the condensed pair distances (empty for n = 1)
     dist = pdist(pts)
     entries = squareform(kernel_profile(kernel, dist), checks=False)

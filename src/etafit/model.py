@@ -23,11 +23,12 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import splu
 
 from .design import DesignMatrix
-from .errors import InputError, ModelError, NumericError, SolverError
-from .kernels import CorrelationMatrix, require_dense_memory
+from .errors import InputError, ModelError, SolverError
+from .kernels import CorrelationMatrix, require_dense_K_memory
+from .traces import DEFAULT_HUTCHINSON_VECTORS
 
 # Degeneracy flag: z counts as lying in range(X) when the projection
 # residual is below this fraction of ||z||.
@@ -43,8 +44,8 @@ JITTER_SCALE = 1e-10
 LANCZOS_TOL = 1e-10
 LANCZOS_STEPS_PER_POINT = 10
 
-# eigsh tolerance of the sparse extreme eigenvalues
-SPARSE_EIG_TOL = 1e-8
+# starting fraction of the sparse lambda_min bound below the lowest Ritz value
+SPECTRUM_MARGIN = 0.01
 
 
 def spectral_jitter(lambda_min: float, n: int) -> float:
@@ -110,15 +111,15 @@ class Solver:
     step counts are ``lanczos_steps`` and ``probe_lanczos_steps``), and
     ``solve`` and ``logdet`` use one ``sparse_lu`` (symmetric-mode
     SuperLU, minimum-degree ordering of K + K') of K_eta.
-    ``extreme_eigvals`` factors K itself once, in
-    ``factor_s`` seconds: the factor's inertia checks K positive definite,
-    it is the shift-invert operator behind lambda_min, and its
-    log-determinant is kept for ``logdet(0)``.  The factor itself is not
-    kept: its L and U (6.3 M entries for n = 16384 and 44 neighbours per
-    point) would raise the fit's peak memory by about a quarter.  Sparse
-    storage applies no jitter and has no full spectrum
-    (``eigvals`` is None), and the Lanczos runs need K itself positive
-    definite, since they converge at eta = 0.
+    ``extreme_eigvals`` factors K itself once, in ``factor_s`` seconds:
+    its inertia checks K positive definite and its log-determinant is kept
+    for ``logdet(0)``, but the factor (6.3 M entries at n = 16384 and 44
+    neighbours per point, a quarter of a fit's peak memory) is not.  The
+    spectrum bounds are the extreme Ritz values of the default probe run,
+    lambda_min lowered until an LU of K - lambda_min I certifies it.
+    Sparse storage applies no jitter and has no full spectrum (``eigvals``
+    is None), and the Lanczos runs need K itself positive definite, since
+    they converge at eta = 0.
 
     ``grams`` and ``probe_grams`` read a block's Gram matrices from its
     ``KrylovState``, by one banded Cholesky per eta in either storage.
@@ -134,7 +135,6 @@ class Solver:
         self.jitter = 0.0
         self.eigvals = None
         self.factor_s = 0.0
-        self._extremes = None
         self._logdet0 = None
         self._band = None
         self._per_model = None
@@ -146,7 +146,7 @@ class Solver:
 
     def _tridiagonalize(self, A: np.ndarray) -> None:
         n = A.shape[0]
-        require_dense_memory(n, 1.0, "its tridiagonal reduction")
+        require_dense_K_memory(n, 1.0, "its tridiagonal reduction")
         lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
         # overwrite_a=0: A is the stored matrix of K itself
         a, d, e, self._tau, info = lapack.dsytrd(A, lower=1, lwork=lwork,
@@ -205,10 +205,13 @@ class Solver:
         given (n_vectors, seed) and serves every eta after it.
         """
         _check_eta(eta)
+        return _banded_grams(self._probe_state(n_vectors, seed), eta, count)
+
+    def _probe_state(self, n_vectors: int, seed: int) -> KrylovState:
         if self._probes is None or self._probes[0] != (n_vectors, seed):
             V = rademacher_probes(self.K.n, n_vectors, seed)
             self._probes = ((n_vectors, seed), self._krylov_state(V))
-        return _banded_grams(self._probes[1], eta, count)
+        return self._probes[1]
 
     def _krylov_state(self, B: np.ndarray) -> KrylovState:
         if self._band is None:
@@ -253,51 +256,51 @@ class Solver:
         return self._sparse_factor(eta)[1]
 
     def extreme_eigvals(self) -> tuple[float, float]:
-        """(lambda_min, lambda_max) of K, computed on the first call: the
-        ends of ``eigvals`` on dense K.  On sparse K, ``eigsh`` for each,
-        lambda_min by shift-invert around 0 on the one ``sparse_lu`` of K.
-        A seeded start vector (ARPACK's own is drawn afresh per call) makes
-        both, and so every sparse estimate, reproducible."""
+        """(lambda_min, lambda_max) of K: the ends of ``eigvals`` on dense
+        K.  On sparse K, once the LU of K has checked it, the extreme Ritz
+        values of the default probe run, which lie inside the spectrum
+        (Parlett, *The Symmetric Eigenvalue Problem*, 1998); lambda_min is
+        lowered by a margin that doubles from SPECTRUM_MARGIN until an LU
+        of K - lambda_min I with no negative pivot proves it a bound."""
         if self.eigvals is not None:
             return float(self.eigvals[0]), float(self.eigvals[-1])
-        if self._extremes is not None:
-            return self._extremes
-        A = self.K.entries
-        lu = self._sparse_factor(0.0)[0]
-        inverse = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, A.shape[0])
-        try:
-            lam_max = float(spla.eigsh(A, k=1, which="LA", tol=SPARSE_EIG_TOL,
-                                       v0=v0, return_eigenvectors=False)[0])
-            lam_min = float(spla.eigsh(A, k=1, sigma=0.0, which="LM",
-                                       OPinv=inverse, tol=SPARSE_EIG_TOL,
-                                       v0=v0, return_eigenvectors=False)[0])
-        except Exception as exc:
-            raise NumericError(f"sparse eigensolve failed: {exc}") from None
-        self._extremes = (lam_min, lam_max)
-        return self._extremes
+        self._sparse_factor(0.0)
+        state = self._probe_state(DEFAULT_HUTCHINSON_VECTORS, 0)
+        ritz = sla.eigvals_banded(state.band, lower=True)
+        margin = SPECTRUM_MARGIN
+        # one LU alive at a time: each is dropped inside the condition
+        while _negative_pivots(sparse_lu(
+                self.K.entries, -(1.0 - margin) * ritz[0])) != 0:
+            margin *= 2.0
+        return (1.0 - margin) * float(ritz[0]), float(ritz[-1])
 
     def _sparse_factor(self, eta: float):
         """``sparse_lu`` of K_eta and its log-determinant, checked positive
-        definite by its inertia: with diagonal pivots, the negative pivots
-        count the negative eigenvalues (Sylvester's law of inertia).  A
-        factorization of K itself (eta = 0) is timed in ``factor_s`` and
-        leaves its log-determinant in ``_logdet0``."""
+        definite by its inertia (``_negative_pivots``).  A factorization of
+        K itself is timed in ``factor_s`` and leaves ``_logdet0``."""
         started = time.perf_counter()
         lu = sparse_lu(self.K.entries, eta)
+        negative = _negative_pivots(lu)
         pivots = lu.U.diagonal()
-        symmetric = np.array_equal(lu.perm_r, lu.perm_c)
-        if not (symmetric and np.all(pivots > 0)):
-            negative = np.count_nonzero(pivots < 0) if symmetric \
-                else "an unknown number of"
+        if negative != 0 or not np.all(pivots > 0):
+            count = "an unknown number of" if negative is None else negative
             raise SolverError(f"K + {eta} I is not positive definite "
-                              f"(indefinite or singular): {negative} "
+                              f"(indefinite or singular): {count} "
                               f"negative eigenvalue(s) (sparse LDL' inertia)")
         logdet = float(np.sum(np.log(pivots)))
         if eta == 0.0:
             self._logdet0 = logdet
             self.factor_s += time.perf_counter() - started
         return lu, logdet
+
+
+def _negative_pivots(lu) -> int | None:
+    """The negative eigenvalues of a matrix by Sylvester's law of inertia:
+    the negative pivots of its ``sparse_lu``, or None when a zero pivot
+    forced SuperLU off the diagonal, where they tell nothing."""
+    if np.array_equal(lu.perm_r, lu.perm_c):
+        return int(np.count_nonzero(lu.U.diagonal() < 0))
+    return None
 
 
 def _check_eta(eta: float) -> None:
@@ -465,7 +468,7 @@ def sparse_lu(A, eta: float = 0.0):
     """
     M = (A + eta * sparse.identity(A.shape[0], format="csr")).tocsc()
     try:
-        return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(

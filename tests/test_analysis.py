@@ -48,7 +48,8 @@ class TestSpectrumBounds:
         assert K.storage == "sparse"
         spec = spectrum_bounds(Solver(K))
         eigvals = np.linalg.eigvalsh(K.toarray())
-        assert spec.lambda_min == pytest.approx(eigvals[0], rel=1e-4)
+        # a certified lower bound on lambda_min, a Ritz value for lambda_max
+        assert 0.98 * eigvals[0] <= spec.lambda_min <= eigvals[0]
         assert spec.lambda_max == pytest.approx(eigvals[-1], rel=1e-4)
 
 

@@ -418,7 +418,21 @@ class TestTraceInterpCommand:
                 "--out", str(tmp_path / "interp.json")]
         assert main(args) == 0
         assert main(args + ["--check"]) == 2
-        assert "dense eigensolve" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dense eigensolve" in err
+        # K is already sparse, so tapering cannot help
+        assert "taper" not in err
+
+    def test_refused_check_writes_nothing(self, data_csv, tmp_path,
+                                          monkeypatch):
+        n = load_dataset(data_csv).points.shape[0]
+        monkeypatch.setattr(etafit.kernels, "available_memory",
+                            lambda: int(8 * 1.5 * n ** 2))
+        out = tmp_path / "interp.json"
+        assert main(["trace-interp", "--data", str(data_csv), "--kernel",
+                     "exp:0.1:taper=0.05", "--nodes", "1,10", "--check",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_check_on_dense_K_reads_the_solver_spectrum(
             self, data_csv, tmp_path, monkeypatch, capsys):

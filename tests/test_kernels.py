@@ -338,8 +338,9 @@ class TestDenseMemoryGuard:
         self.limit(monkeypatch, 1.0)
         Solver(K)
         self.limit(monkeypatch, 0.9)
-        with pytest.raises(InputError, match="tridiagonal reduction"):
+        with pytest.raises(InputError, match="tridiagonal reduction") as exc:
             Solver(K)
+        assert "taper" in str(exc.value)
 
     def test_dense_oracle_refused_beyond_available_memory(self, monkeypatch):
         from etafit.kernels import CorrelationMatrix
@@ -349,8 +350,10 @@ class TestDenseMemoryGuard:
         assert K.storage == "sparse"
         # the dense copy of sparse K and the eigensolver's own copy
         self.limit(monkeypatch, 1.9)
-        with pytest.raises(InputError, match="dense eigensolve"):
+        with pytest.raises(InputError, match="dense eigensolve") as exc:
             oracle_traces(K)
+        # K is already sparse, so tapering cannot help
+        assert "taper" not in str(exc.value)
         self.limit(monkeypatch, 2.0)
         oracle_traces(K)
         # dense K is already stored: only the eigensolver's copy

@@ -108,8 +108,9 @@ class TestSparseEstimation:
         assert counts["probe_lanczos_steps"] > 0
 
     def test_fit_factors_K_once(self, sparse_problem, monkeypatch):
-        # the spectrum bounds, the positive-definiteness check and log det K
-        # share one LU of K; the only other one is the root's log det
+        # the positive-definiteness check and log det K share one LU of K;
+        # the next one certifies the lower spectrum bound, and the last is
+        # the root's log det
         etas = []
 
         def counting(A, eta=0.0):
@@ -119,7 +120,28 @@ class TestSparseEstimation:
         monkeypatch.setattr(etafit.model, "sparse_lu", counting)
         report = estimate_variances(sparse_problem)
         assert report.outcome == "interior"
-        assert etas == [0.0, report.hyperparams.eta]
+        lambda_min = report.diagnostics["spectrum"]["lambda_min"]
+        assert etas == [0.0, -lambda_min, report.hyperparams.eta]
+
+    def test_spectrum_does_not_depend_on_the_probe_seed(self, sparse_problem,
+                                                        monkeypatch):
+        # the spectrum reads the seed-0 probe run; another seed costs one
+        # more probe run
+        runs = []
+
+        def recording(K, R, tol, max_iter):
+            runs.append(R.shape[1])
+            return block_lanczos(K, R, tol, max_iter)
+
+        monkeypatch.setattr(etafit.model, "block_lanczos", recording)
+        spectra = []
+        for seed, probe_runs in ((0, 1), (3, 2)):
+            runs.clear()
+            report = estimate_variances(sparse_problem,
+                                        config=EstimateConfig(seed=seed))
+            spectra.append(report.diagnostics["spectrum"])
+            assert runs.count(DEFAULT_HUTCHINSON_VECTORS) == probe_runs
+        assert spectra[0] == spectra[1]
 
     def test_logdet_at_zero_reads_the_spectrum_factorization(self,
                                                              sparse_problem):
@@ -365,17 +387,74 @@ def indefinite_grid_K(n, alpha):
         "exponential", alpha, taper_threshold=0.05))
 
 
+def tapered_fixture(name):
+    """The positive-definite tapered spectrum fixtures: a 15 x 15 grid
+    (n225), the 40 x 40 grid of cell centres (grid40) and 1024 synthetic
+    points (n1024)."""
+    if name == "n1024":
+        points, alpha = generate_synthetic(1024, 0.2, seed=23).points, 0.02
+    else:
+        g, alpha = ((np.linspace(0.0, 1.0, 15), 0.08) if name == "n225"
+                    else ((np.arange(40) + 0.5) / 40, 0.03))
+        xx, yy = np.meshgrid(g, g)
+        points = np.column_stack([xx.ravel(), yy.ravel()])
+    K = correlation_matrix(points, CorrelationKernel("exponential", alpha,
+                                                     taper_threshold=0.05))
+    assert K.storage == "sparse"
+    return K
+
+
+def no_negative_pivot(A, sigma):
+    """A - sigma I has no negative pivot: sigma <= lambda_min(A)."""
+    lu = sparse_lu(A, -sigma)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    return not np.any(lu.U.diagonal() < 0)
+
+
 class TestTaperedSpectrum:
     def test_lambda_min_matches_dense_eigensolve(self):
-        g = (np.arange(40) + 0.5) / 40
-        xx, yy = np.meshgrid(g, g)
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        K = correlation_matrix(pts, CorrelationKernel("exponential", 0.03,
-                                                      taper_threshold=0.05))
-        assert K.storage == "sparse"
+        K = tapered_fixture("grid40")
         lam_min = np.linalg.eigvalsh(K.toarray())[0]
-        assert spectrum_bounds(Solver(K)).lambda_min == pytest.approx(
-            lam_min, rel=1e-8)
+        bound = spectrum_bounds(Solver(K)).lambda_min
+        assert 0.98 * lam_min <= bound <= lam_min
+
+    @pytest.mark.parametrize("name", ["n225", "grid40", "n1024"])
+    def test_bounds_are_certified_ritz_values(self, name):
+        K = tapered_fixture(name)
+        spec = spectrum_bounds(Solver(K))
+        eigvals = np.linalg.eigvalsh(K.toarray())
+        assert no_negative_pivot(K.entries, spec.lambda_min)
+        assert spec.lambda_min <= eigvals[0]
+        assert spec.lambda_max == pytest.approx(eigvals[-1], rel=1e-4)
+
+    def test_margin_doubles_until_certified(self, monkeypatch):
+        # a lowest Ritz value 3% above lambda_min fails the certificate at
+        # margins 0.01 and 0.02, and passes at 0.04
+        K = tapered_fixture("n225")
+        lam_min = np.linalg.eigvalsh(K.toarray())[0]
+        eigvals_banded = etafit.model.sla.eigvals_banded
+        shifts = []
+
+        def raised(*args, **kwargs):
+            ritz = eigvals_banded(*args, **kwargs)
+            ritz[0] = 1.03 * lam_min
+            return ritz
+
+        def counting(A, eta=0.0):
+            shifts.append(-eta)
+            return sparse_lu(A, eta)
+
+        monkeypatch.setattr(etafit.model.sla, "eigvals_banded", raised)
+        monkeypatch.setattr(etafit.model, "sparse_lu", counting)
+        bound = spectrum_bounds(Solver(K)).lambda_min
+        certificates = shifts[1:]  # after the LU of K itself
+        assert certificates == pytest.approx(
+            [(1 - m) * 1.03 * lam_min for m in (0.01, 0.02, 0.04)],
+            rel=1e-15)
+        assert bound == certificates[-1]
+        assert 0.9 * lam_min < bound <= lam_min
+        assert no_negative_pivot(K.entries, bound)
+        assert not no_negative_pivot(K.entries, certificates[-2])
 
     @pytest.mark.parametrize("n,alpha,negative", [(1600, 0.05, 4),
                                                   (4096, 0.04, 165)])

@@ -110,6 +110,54 @@ def test_modules_use_every_name_they_import():
     assert not unused
 
 
+def dotted(node):
+    """"a.b.c" for a Name/Attribute chain, None for anything else."""
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def sparse_linalg_names(tree):
+    """The ``scipy.sparse.linalg`` names a module uses, by from-import or
+    by attribute on whatever name its imports bind to a scipy package."""
+    target = "scipy.sparse.linalg"
+    aliases = {}  # bound name -> the dotted module it stands for
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    aliases[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                if node.module == target:
+                    names.add(alias.name)
+                elif (target + ".").startswith(full + "."):
+                    aliases[alias.asname or alias.name] = full
+    for node in ast.walk(tree):
+        chain = dotted(node) if isinstance(node, ast.Attribute) else None
+        if chain:
+            head, _, rest = chain.partition(".")
+            full = f"{aliases.get(head, head)}.{rest}"
+            if full.startswith(target + "."):
+                names.add(full[len(target) + 1:].split(".")[0])
+    return names
+
+
+def test_sparse_linalg_use_is_superlu_only():
+    # sparse K has one factorization, SuperLU; its spectrum bounds come
+    # from the probe Lanczos run, not from an eigensolver or an operator
+    used = set()
+    for path in sorted((ROOT / "src" / "etafit").glob("*.py")):
+        used |= sparse_linalg_names(ast.parse(path.read_text()))
+    assert used == {"splu"}
+
+
 # calls that pass a value which is now derived from another input or is a
 # constant; each takes a small model (``removed_argument_model``)
 REMOVED_ARGUMENTS = {
