@@ -14,8 +14,12 @@ on the Gram matrices lives in ``likelihood``.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -119,7 +123,12 @@ class Solver:
     lambda_min lowered until an LU of K - lambda_min I certifies it.
     Sparse storage applies no jitter and has no full spectrum (``eigvals``
     is None), and the Lanczos runs need K itself positive definite, since
-    they converge at eta = 0.
+    they converge at eta = 0.  Each Lanczos run holds OpenBLAS to one
+    thread, since its products of thin n x b blocks ran slower on two (at
+    n = 16384, 2 cores, the probe run took 0.52-0.55 s on one thread
+    against 1.45-2.29 s on two).  The setting is process-wide while a run
+    lasts.  The dense reduction keeps every thread, and so do the per-eta
+    banded algebra and SuperLU.
 
     ``grams`` and ``probe_grams`` read a block's Gram matrices from its
     ``KrylovState``, by one banded Cholesky per eta in either storage.
@@ -215,8 +224,9 @@ class Solver:
 
     def _krylov_state(self, B: np.ndarray) -> KrylovState:
         if self._band is None:
-            return block_lanczos(self.K.entries, B, LANCZOS_TOL,
-                                 int(LANCZOS_STEPS_PER_POINT * self.K.n))
+            with _one_blas_thread():
+                return block_lanczos(self.K.entries, B, LANCZOS_TOL,
+                                     int(LANCZOS_STEPS_PER_POINT * self.K.n))
         return KrylovState(self._band, self._rotate(B, "T"), 0)
 
     def _rotate(self, B: np.ndarray, trans: str) -> np.ndarray:
@@ -269,19 +279,18 @@ class Solver:
         ritz = sla.eigvals_banded(state.band, lower=True)
         margin = SPECTRUM_MARGIN
         # one LU alive at a time: each is dropped inside the condition
-        while _negative_pivots(sparse_lu(
-                self.K.entries, -(1.0 - margin) * ritz[0])) != 0:
+        while _inertia(sparse_lu(
+                self.K.entries, -(1.0 - margin) * ritz[0]))[1] != 0:
             margin *= 2.0
         return (1.0 - margin) * float(ritz[0]), float(ritz[-1])
 
     def _sparse_factor(self, eta: float):
         """``sparse_lu`` of K_eta and its log-determinant, checked positive
-        definite by its inertia (``_negative_pivots``).  A factorization of
+        definite by its inertia (``_inertia``).  A factorization of
         K itself is timed in ``factor_s`` and leaves ``_logdet0``."""
         started = time.perf_counter()
         lu = sparse_lu(self.K.entries, eta)
-        negative = _negative_pivots(lu)
-        pivots = lu.U.diagonal()
+        pivots, negative = _inertia(lu)
         if negative != 0 or not np.all(pivots > 0):
             count = "an unknown number of" if negative is None else negative
             raise SolverError(f"K + {eta} I is not positive definite "
@@ -294,13 +303,16 @@ class Solver:
         return lu, logdet
 
 
-def _negative_pivots(lu) -> int | None:
-    """The negative eigenvalues of a matrix by Sylvester's law of inertia:
-    the negative pivots of its ``sparse_lu``, or None when a zero pivot
-    forced SuperLU off the diagonal, where they tell nothing."""
+def _inertia(lu) -> tuple[np.ndarray, int | None]:
+    """(pivots, negative) of a matrix's ``sparse_lu``: the diagonal of U,
+    read once since SuperLU builds a full copy of U for it, and the
+    negative eigenvalues of the matrix by Sylvester's law of inertia, its
+    negative pivots, or None when a zero pivot forced SuperLU off the
+    diagonal, where they tell nothing."""
+    pivots = lu.U.diagonal()
     if np.array_equal(lu.perm_r, lu.perm_c):
-        return int(np.count_nonzero(lu.U.diagonal() < 0))
-    return None
+        return pivots, int(np.count_nonzero(pivots < 0))
+    return pivots, None
 
 
 def _check_eta(eta: float) -> None:
@@ -316,6 +328,61 @@ def rademacher_probes(n: int, n_vectors: int, seed: int) -> np.ndarray:
     return np.column_stack([
         np.random.default_rng(seq).integers(0, 2, size=n) * 2.0 - 1.0
         for seq in seqs])
+
+
+# (get, set) thread-count functions of the OpenBLAS builds numpy and scipy
+# ship: plain OpenBLAS, scipy-openblas, and its ILP64 build with suffix 64_
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_",
+     "scipy_openblas_set_num_threads64_"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of every OpenBLAS already
+    mapped into this process (found in /proc/self/maps, opened with
+    RTLD_NOLOAD so no second copy is loaded); empty for any other BLAS or
+    where /proc is missing.  Runs once, on first use, never at import."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps
+                     if "openblas" in os.path.basename(line).lower()}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get, set_ in _OPENBLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                get, set_ = getattr(lib, get), getattr(lib, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block under one OpenBLAS thread, and restore each library's
+    thread count after it, also when it raises.  The setting is
+    process-wide while the block lasts: BLAS calls from other Python
+    threads run on one thread too.  Without an OpenBLAS it does nothing."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
 
 
 class KrylovState(NamedTuple):
@@ -346,6 +413,14 @@ def block_lanczos(K, R: np.ndarray, tol: float,
     product K @ Q_j each).  Residual directions at rounding level are
     deflated, never normalized into new directions, and the run ends once
     none remain (the Krylov space is exhausted and T is exact).
+
+    ``Solver`` runs it under one OpenBLAS thread (``_one_blas_thread``):
+    on two threads its thin n x b products ran slower, not faster (at
+    n = 16384, 2 cores: the run on the 20 trace probes took 1.45-2.29 s
+    against 0.52-0.55 s, and that on [X | z] 0.96-1.17 s against 0.19 s).
+    The limit is process-wide while the run lasts, and lifted after it;
+    the dense tridiagonal reduction keeps every thread, which its
+    ``dsytrd`` needs.
     """
     b = R.shape[1]
     Q, B1 = _deflated_qr(R, float(np.linalg.norm(R, axis=0).max()))
@@ -427,9 +502,9 @@ def _deflated_qr(W: np.ndarray, scale: float):
     lam = np.linalg.eigvalsh(G)
     if lam[0] > max(1e-8 * lam[-1], floor ** 2):
         # cond(W) < 1e4 and every direction far above rounding level: two
-        # Cholesky-QR passes (BLAS-3 only) orthonormalize to rounding.
-        # LAPACK's Householder QR of an n x b block is level-2 BLAS, which
-        # OpenBLAS ran 5-20x slower on two threads than on one.
+        # Cholesky-QR passes (BLAS-3 only) orthonormalize to rounding, in
+        # 4.3 ms on one thread at n x b = 16384 x 20, where the pivoted
+        # Householder QR below (level-2 BLAS) takes 6.3 ms.
         R1 = sla.cholesky(G, check_finite=False)
         Q = W @ _triangular_inverse(R1)
         R2 = sla.cholesky(Q.T @ Q, check_finite=False)
@@ -442,11 +517,8 @@ def _deflated_qr(W: np.ndarray, scale: float):
 
 
 def _triangular_inverse(R: np.ndarray) -> np.ndarray:
-    """R^-1 of a small upper-triangular R, C-ordered: OpenBLAS took up to
-    10x longer for an n x b by b x b product with a Fortran-ordered right
-    factor."""
-    return np.ascontiguousarray(sla.solve_triangular(
-        R, np.eye(R.shape[0]), check_finite=False))
+    """R^-1 of a small upper-triangular R."""
+    return sla.solve_triangular(R, np.eye(R.shape[0]), check_finite=False)
 
 
 def _relative_change(G: np.ndarray, H: np.ndarray) -> float:

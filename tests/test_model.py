@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,14 +11,18 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
 
+import etafit.model
 from conftest import (dense_m1, dense_p, dense_solver, gls_beta, m_action,
                       oracle_traces, random_model)
+from etafit.datagen import generate_synthetic
 from etafit.design import BasisSpec, build_design
 from etafit.errors import InputError, ModelError, SolverError
+from etafit.estimation import estimate_variances
 from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
 from etafit.likelihood import profile_ell
-from etafit.model import GpModel, HyperParams, Solver, spectral_jitter
+from etafit.model import (GpModel, HyperParams, Solver, block_lanczos,
+                          spectral_jitter)
 from etafit.traces import ExactTraceProvider
 
 
@@ -377,3 +386,89 @@ class TestHyperParams:
         hp = HyperParams(0.25, 0.5, 2.0)
         assert hp.sigma == 0.5
         assert hp.sigma0 == pytest.approx(math.sqrt(0.5))
+
+
+def blas_thread_counts():
+    return [get() for get, _ in etafit.model._openblas_thread_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS loaded runs two threads for the test, so that a count
+    of 1 can only come from the scope; the counts found are restored."""
+    controls = etafit.model._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS is loaded in this process, so there is no "
+                    "thread count to limit")
+    saved = blas_thread_counts()
+    for _, set_ in controls:
+        set_(2)
+    yield
+    for (_, set_), count in zip(controls, saved):
+        set_(count)
+
+
+def small_tapered_model():
+    ds = generate_synthetic(400, 0.2, seed=23)
+    K = correlation_matrix(ds.points, CorrelationKernel(
+        "exponential", 0.03, taper_threshold=0.08))
+    assert K.storage == "sparse"
+    X = build_design(ds.points, BasisSpec("polynomial", 2))
+    return GpModel(ds.z, X, K, ds.points)
+
+
+def report_without_timing(report):
+    fields = dataclasses.asdict(report)
+    fields["diagnostics"].pop("timing")
+    return repr(fields)
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+class TestOneBlasThread:
+    """Block Lanczos runs under one OpenBLAS thread, and every library's
+    thread count comes back after it."""
+
+    def test_scope_sets_one_thread_and_restores_the_counts(self):
+        with etafit.model._one_blas_thread():
+            assert blas_thread_counts() == [1] * len(blas_thread_counts())
+        assert blas_thread_counts() == [2] * len(blas_thread_counts())
+
+    def test_counts_restored_after_solver_error(self):
+        model = small_tapered_model()
+        R = np.column_stack([model.X.entries, model.z])
+        with pytest.raises(SolverError, match="did not converge"):
+            with etafit.model._one_blas_thread():
+                block_lanczos(model.K.entries, R, 1e-10, 1)
+        assert blas_thread_counts() == [2] * len(blas_thread_counts())
+
+    def test_sparse_fit_runs_block_lanczos_on_one_thread(self, monkeypatch):
+        seen = []
+
+        def recording(K, R, tol, max_iter):
+            seen.append(blas_thread_counts())
+            return block_lanczos(K, R, tol, max_iter)
+
+        monkeypatch.setattr(etafit.model, "block_lanczos", recording)
+        estimate_variances(small_tapered_model())
+        ones = [1] * len(blas_thread_counts())
+        assert seen == [ones, ones]
+        assert blas_thread_counts() == [2] * len(ones)
+
+    def test_fit_without_openblas_gives_the_same_report(self, monkeypatch):
+        scoped = estimate_variances(small_tapered_model())
+        monkeypatch.setattr(etafit.model, "_openblas_thread_controls",
+                            lambda: ())
+        unscoped = estimate_variances(small_tapered_model())
+        assert report_without_timing(unscoped) == \
+            report_without_timing(scoped)
+
+
+def test_import_does_not_look_for_openblas():
+    src = Path(etafit.model.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", "import etafit, etafit.model as m; "
+         "print(m._openblas_thread_controls.cache_info().misses)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"

@@ -33,6 +33,22 @@ def sparse_problem():
     return GpModel(ds.z, X, K, ds.points)
 
 
+class URecordingLU:
+    """A SuperLU factor that counts the reads of its ``U`` property."""
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.U_reads = 0
+
+    @property
+    def U(self):
+        self.U_reads += 1
+        return self._lu.U
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
 class TestSparseEstimation:
     def test_matrix_is_sparse_and_solver_has_no_spectrum(self,
                                                          sparse_problem):
@@ -122,6 +138,19 @@ class TestSparseEstimation:
         assert report.outcome == "interior"
         lambda_min = report.diagnostics["spectrum"]["lambda_min"]
         assert etas == [0.0, -lambda_min, report.hyperparams.eta]
+
+    def test_fit_reads_each_factor_once(self, sparse_problem, monkeypatch):
+        # SuperLU's U builds a full copy of U, so the pivots (its diagonal)
+        # are read once per factorization: K, the certificate and the root
+        factors = []
+
+        def counting(A, eta=0.0):
+            factors.append(URecordingLU(sparse_lu(A, eta)))
+            return factors[-1]
+
+        monkeypatch.setattr(etafit.model, "sparse_lu", counting)
+        estimate_variances(sparse_problem)
+        assert [lu.U_reads for lu in factors] == [1, 1, 1]
 
     def test_spectrum_does_not_depend_on_the_probe_seed(self, sparse_problem,
                                                         monkeypatch):

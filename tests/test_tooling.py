@@ -158,6 +158,24 @@ def test_sparse_linalg_use_is_superlu_only():
     assert used == {"splu"}
 
 
+def test_thread_policy_lives_in_model_without_environment_settings():
+    # OpenBLAS reads its environment once, when it loads, so no module
+    # touches the environment; the thread count of block Lanczos is set
+    # through ctypes in model.py alone
+    touches_environ, imports_ctypes = [], []
+    for path in sorted((ROOT / "src" / "etafit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = set(imported_names(tree))
+        if names & {"environ", "putenv"} or any(
+                dotted(node) in ("os.environ", "os.putenv")
+                for node in ast.walk(tree) if isinstance(node, ast.Attribute)):
+            touches_environ.append(path.name)
+        if "ctypes" in names:
+            imports_ctypes.append(path.name)
+    assert touches_environ == []
+    assert imports_ctypes == ["model.py"]
+
+
 # calls that pass a value which is now derived from another input or is a
 # constant; each takes a small model (``removed_argument_model``)
 REMOVED_ARGUMENTS = {
