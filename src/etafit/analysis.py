@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InputError, ModelError, NumericError
 from .model import GpModel, Solver
@@ -89,46 +88,39 @@ def _frobenius_sq(K) -> float:
 
 
 def asymptote_coefficients(model: GpModel) -> AsymptoteCoefficients:
-    """Build the expansion coefficients a_i = zc' A_i zc via matrix actions.
+    """Build the expansion coefficients a_i = y0' A_i y0 via matrix actions.
 
     Powers of N = K Q are never materialized; each a_i comes from nested
-    K-products and projections applied to the normalized data vector.  When
-    n > LARGE_N_FACTOR * m (``large_n_approx``) the two traces are replaced
-    by their n >> m surrogates n and ||K||_F^2.
+    K-products and projections Q = I - U U' (U = ``GpModel.basis``) applied
+    to y0, the normalized ``residual``.  tr N and tr N^2 come from one
+    product KU, or, when n > LARGE_N_FACTOR * m (``large_n_approx``), are
+    replaced by their n >> m surrogates n and ||K||_F^2.
     """
-    n, m = model.n, model.m
-    large_n_approx = n > LARGE_N_FACTOR * m
-    X = model.X.entries
-    z = model.z
-    K = model.K.entries
-
-    xtx_factor = sla.cho_factor(X.T @ X, lower=True, check_finite=False)
-
-    def q_apply(v):
-        return v - X @ sla.cho_solve(xtx_factor, X.T @ v, check_finite=False)
-
-    qz = q_apply(z)
-    znorm_sq = float(z @ qz)
-    if znorm_sq <= 0 or model.degenerate:
+    if model.degenerate:
         raise ModelError("observations lie in the range of the design "
                          "matrix; asymptote coefficients are undefined")
-    zc = z / math.sqrt(znorm_sq)
+    n, m = model.n, model.m
+    large_n_approx = n > LARGE_N_FACTOR * m
+    U = model.basis
+    K = model.K.entries
+
+    def q_apply(v):
+        return v - U @ (U.T @ v)
 
     if large_n_approx:
         trace_n = float(n)
         trace_n2 = _frobenius_sq(model.K)
     else:
-        W = K @ X
-        G_S = sla.cho_solve(xtx_factor, X.T @ W, check_finite=False)
-        trace_n = float(n - np.trace(G_S))
-        G_WtW = sla.cho_solve(xtx_factor, W.T @ W, check_finite=False)
-        trace_n2 = float(_frobenius_sq(model.K) - 2.0 * np.trace(G_WtW)
-                         + np.trace(G_S @ G_S))
+        KU = K @ U
+        UKU = U.T @ KU
+        trace_n = float(n - np.trace(UKU))
+        trace_n2 = float(_frobenius_sq(model.K) - 2.0 * np.sum(KU * KU)
+                         + np.sum(UKU * UKU))
 
     t1 = trace_n / (n - m)
     t2 = trace_n2 / (n - m)
 
-    y0 = q_apply(zc)
+    y0 = model.residual / np.linalg.norm(model.residual)
     v1 = K @ y0
     v2 = K @ q_apply(v1)
     v3 = K @ q_apply(v2)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, likelihood
 from .datagen import generate_synthetic, load_dataset, save_dataset
-from .design import BasisSpec, DesignMatrix, build_design, column_rank
+from .design import BasisSpec, DesignMatrix, build_design, numerical_rank
 from .errors import InputError, NumericError
 from .estimation import (EstimateConfig, direct_variances, estimate_variances,
                          inverse_square_priors, profile_optimize,
@@ -109,7 +109,7 @@ def load_tabulated_design(path, n: int):
     m = entries.shape[1]
     if m >= n:
         raise InputError(f"need more points than basis columns (n={n}, m={m})")
-    if column_rank(entries) < m:
+    if numerical_rank(np.linalg.svd(entries, compute_uv=False), n) < m:
         raise InputError(f"tabulated design matrix {path} is rank deficient")
     return DesignMatrix(entries)
 

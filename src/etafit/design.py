@@ -74,10 +74,9 @@ def n_basis(spec: BasisSpec) -> int:
     return 2 * spec.dimension
 
 
-def column_rank(entries: np.ndarray) -> int:
+def numerical_rank(svals: np.ndarray, n: int) -> int:
     """Count of singular values above n * RANK_TOL_FACTOR times the largest."""
-    svals = np.linalg.svd(entries, compute_uv=False)
-    return int(np.sum(svals > entries.shape[0] * svals[0] * RANK_TOL_FACTOR))
+    return int(np.sum(svals > n * svals[0] * RANK_TOL_FACTOR))
 
 
 def build_design(points: np.ndarray, spec: BasisSpec) -> DesignMatrix:
@@ -103,7 +102,7 @@ def build_design(points: np.ndarray, spec: BasisSpec) -> DesignMatrix:
             cols.append(np.cos(np.pi * pts[:, j]))
     X = np.column_stack(cols)
 
-    rank = column_rank(X)
+    rank = numerical_rank(np.linalg.svd(X, compute_uv=False), n)
     if rank < m:
         raise ModelError(
             f"design matrix is rank deficient (rank {rank} < m {m}) for "

@@ -39,6 +39,7 @@ ETA_TOL = 1e-10
 # Iteration budget of each bracketed root search.
 MAX_ROOT_ITER = 100
 NU_BOUNDS = (1e-2, 25.0)  # smoothness range of the kernel search
+BUDGET_WARNING = "Nelder-Mead hit the evaluation budget before converging"
 
 
 # ----------------------------------------------------------------------
@@ -555,6 +556,29 @@ def estimate_variances(model: GpModel,
 # Direct baselines
 # ----------------------------------------------------------------------
 
+def _neg_ell(sigma: float, sigma0: float, counters: dict, build) -> float:
+    """-ell(sigma^2, eta) with eta = (sigma0 / sigma)^2, the objective of
+    the direct searches, counted in ``counters["ell"]``.  It is inf outside
+    sigma > 0, sigma0 >= 0, where eta overflows, where ``build()`` gives
+    None (a degenerate model) and where the likelihood raises
+    NumericError.  ``build`` gives (model, solver); it is called only
+    inside the domain, so a rejected point assembles no K."""
+    if sigma <= 0 or sigma0 < 0:
+        return math.inf
+    eta = (sigma0 / sigma) ** 2
+    if not np.isfinite(eta):
+        return math.inf
+    built = build()
+    if built is None:
+        return math.inf
+    counters["ell"] += 1
+    try:
+        return -likelihood.log_marginal_likelihood(built[0], sigma ** 2, eta,
+                                                   built[1])
+    except NumericError:
+        return math.inf
+
+
 def direct_variances(model: GpModel, init=(0.1, 0.1), tol: float = 1e-6,
                      max_evals: int = 2000,
                      config: EstimateConfig | None = None) -> EstimationReport:
@@ -569,18 +593,7 @@ def direct_variances(model: GpModel, init=(0.1, 0.1), tol: float = 1e-6,
     counters = {"ell": 0}
 
     def objective(x):
-        sigma, sigma0 = x
-        if sigma <= 0 or sigma0 < 0:
-            return math.inf
-        eta = (sigma0 / sigma) ** 2
-        if not np.isfinite(eta):
-            return math.inf
-        counters["ell"] += 1
-        try:
-            return -likelihood.log_marginal_likelihood(
-                model, sigma ** 2, eta, solver)
-        except NumericError:
-            return math.inf
+        return _neg_ell(x[0], x[1], counters, lambda: (model, solver))
 
     res = nelder_mead(objective, np.asarray(init, dtype=float), tol=tol,
                       max_evals=max_evals)
@@ -594,8 +607,7 @@ def direct_variances(model: GpModel, init=(0.1, 0.1), tol: float = 1e-6,
         outcome=classify_outcome(eta, config),
         diagnostics={"converged": res.converged, "nm_iters": res.n_iters,
                      "timing": {"total": total}},
-        warnings=[] if res.converged else
-        ["Nelder-Mead hit the evaluation budget before converging"])
+        warnings=[] if res.converged else [BUDGET_WARNING])
 
 
 # ----------------------------------------------------------------------
@@ -657,6 +669,7 @@ def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
                                config=config)
     counters["ell"] += final.n_ell_evals
     counters["deriv"] += final.n_deriv_evals
+    counters["root_iters"] += final.n_root_iters
     total = time.perf_counter() - started
     return EstimationReport(
         hyperparams=final.hyperparams, ell_max=final.ell_max,
@@ -673,8 +686,7 @@ def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
             "converged": res.converged,
             "timing": {"total": total},
         },
-        warnings=[] if res.converged else
-        ["Nelder-Mead hit the evaluation budget before converging"])
+        warnings=[] if res.converged else [BUDGET_WARNING])
 
 
 def direct_optimize(model_builder, init4, priors: PriorSpec | None = None,
@@ -693,25 +705,17 @@ def direct_optimize(model_builder, init4, priors: PriorSpec | None = None,
 
     def objective(x):
         alpha, nu, sigma, sigma0 = x
-        if alpha <= 0 or nu <= 0 or sigma <= 0 or sigma0 < 0:
+        if alpha <= 0 or nu <= 0:
             return math.inf
         lp = priors.log_pdf(alpha, nu)
         if not np.isfinite(lp):
             return math.inf
-        eta = (sigma0 / sigma) ** 2
-        if not np.isfinite(eta):
-            return math.inf
-        model = model_builder(alpha, nu)
-        if model.degenerate:
-            return math.inf
-        solver = Solver(model.K)
-        counters["ell"] += 1
-        try:
-            ell = likelihood.log_marginal_likelihood(
-                model, sigma ** 2, eta, solver)
-        except NumericError:
-            return math.inf
-        return -(ell + lp)
+
+        def build():
+            model = model_builder(alpha, nu)
+            return None if model.degenerate else (model, Solver(model.K))
+
+        return _neg_ell(sigma, sigma0, counters, build) - lp
 
     res = nelder_mead(objective, np.asarray(init4, dtype=float), tol=tol,
                       max_evals=max_evals)
@@ -727,5 +731,4 @@ def direct_optimize(model_builder, init4, priors: PriorSpec | None = None,
         alpha_hat=float(alpha_hat), nu_hat=float(nu_hat),
         diagnostics={"log_posterior": -res.fun, "converged": res.converged,
                      "nm_iters": res.n_iters, "timing": {"total": total}},
-        warnings=[] if res.converged else
-        ["Nelder-Mead hit the evaluation budget before converging"])
+        warnings=[] if res.converged else [BUDGET_WARNING])

@@ -84,7 +84,8 @@ class CorrelationMatrix:
 
     ``storage`` is "sparse" when ``entries`` is a scipy sparse matrix.
     ``has_duplicates`` flags coincident points (unit off-diagonal entries),
-    which can break strict positive-definiteness.
+    which make K singular: dense K takes the spectral jitter, and on
+    sparse K the factorization of K itself raises SolverError naming them.
     """
 
     entries: object

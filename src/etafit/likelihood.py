@@ -165,12 +165,9 @@ def ell_infinite_eta(model: GpModel) -> tuple[float, float]:
     sigma02 = float(model.residual @ model.residual) / (n - m)
     if sigma02 <= 0:
         raise ModelError("degenerate model: zero residual variance")
-    sign, logdet_xtx = np.linalg.slogdet(model.X.entries.T @ model.X.entries)
-    if sign <= 0:
-        raise ModelError("X'X is not positive definite")
     ell = (-0.5 * (n - m) * LOG_2PI
            - 0.5 * (n - m) * math.log(sigma02)
-           - 0.5 * logdet_xtx
+           - 0.5 * model.logdet_xtx
            - 0.5 * (n - m))
     return ell, sigma02
 

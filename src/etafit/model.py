@@ -29,7 +29,7 @@ import scipy.linalg.lapack as lapack
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .design import DesignMatrix
+from .design import DesignMatrix, numerical_rank
 from .errors import InputError, ModelError, SolverError
 from .kernels import CorrelationMatrix, require_dense_K_memory
 from .traces import DEFAULT_HUTCHINSON_VECTORS
@@ -287,7 +287,19 @@ class Solver:
     def _sparse_factor(self, eta: float):
         """``sparse_lu`` of K_eta and its log-determinant, checked positive
         definite by its inertia (``_inertia``).  A factorization of
-        K itself is timed in ``factor_s`` and leaves ``_logdet0``."""
+        K itself is timed in ``factor_s`` and leaves ``_logdet0``; on K
+        with coincident points (``has_duplicates``), which has equal rows,
+        it raises SolverError naming them instead of factoring."""
+        if eta == 0.0 and self.K.has_duplicates:
+            # coincident points are the unit entries off the diagonal
+            upper = sparse.triu(self.K.entries, k=1, format="coo")
+            unit = upper.data == 1.0
+            named = "; ".join(f"{i} and {j}" for i, j in
+                              zip(upper.row[unit][:3], upper.col[unit][:3]))
+            raise SolverError(
+                f"K + 0.0 I is singular: points {named} coincide "
+                f"({np.count_nonzero(unit)} coincident pair(s) in all), so "
+                f"K has equal rows; K + eta I with eta > 0 still factors")
         started = time.perf_counter()
         lu = sparse_lu(self.K.entries, eta)
         pivots, negative = _inertia(lu)
@@ -551,9 +563,12 @@ def sparse_lu(A, eta: float = 0.0):
 class GpModel:
     """Immutable problem instance: observations, design, correlation, points.
 
-    ``degenerate`` flags z in range(X) (its least-squares ``residual`` on X
-    below DEGENERACY_RTOL * ||z||), in which case the fitted error variance
-    is identically zero and estimation short-circuits.
+    X is factored once, by a thin SVD X = U S V' whose rank must pass
+    ``design.numerical_rank``: ``basis`` is U, ``residual`` z - U U'z and
+    ``logdet_xtx`` log det X'X = 2 sum log s.  ``degenerate`` flags z in
+    range(X) (``residual`` below DEGENERACY_RTOL * ||z||), in which case
+    the fitted error variance is identically zero and estimation
+    short-circuits.
     """
 
     z: np.ndarray
@@ -561,6 +576,8 @@ class GpModel:
     K: CorrelationMatrix
     points: np.ndarray
     residual: np.ndarray = field(init=False, repr=False)
+    basis: np.ndarray = field(init=False, repr=False)
+    logdet_xtx: float = field(init=False, repr=False)
     degenerate: bool = field(init=False)
 
     def __post_init__(self):
@@ -572,10 +589,14 @@ class GpModel:
                 f"rows(X)={self.X.entries.shape[0]}, rows(K)={self.K.n}")
         if not np.all(np.isfinite(self.z)):
             raise InputError("observations must be finite")
+        U, s, _ = np.linalg.svd(self.X.entries, full_matrices=False)
+        if (rank := numerical_rank(s, n)) < self.m:
+            raise ModelError(f"design matrix is rank deficient (rank {rank} "
+                             f"< m {self.m})")
+        self.basis, self.logdet_xtx = U, 2.0 * float(np.sum(np.log(s)))
         # z in range(X) makes every M-action vanish regardless of eta, so the
         # plain least-squares residual is an equivalent, cheaper probe.
-        coef, *_ = np.linalg.lstsq(self.X.entries, self.z, rcond=None)
-        self.residual = self.z - self.X.entries @ coef
+        self.residual = self.z - U @ (U.T @ self.z)
         znorm = np.linalg.norm(self.z)
         self.degenerate = bool(np.linalg.norm(self.residual)
                                <= DEGENERACY_RTOL * max(znorm, 1e-300))

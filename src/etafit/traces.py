@@ -161,7 +161,8 @@ class ExactTraceProvider:
 class HutchinsonTraceProvider:
     """Stochastic provider for sparse paths: power 1 is
     ``trace_inv_hutchinson``, power 2 the mean of ||K_eta^{-1} v||^2, the
-    diagonal of the probes' G_2 (``Solver.probe_grams``)."""
+    diagonal of the probes' G_2 (``Solver.probe_grams``); any other power
+    raises InputError."""
 
     method = "hutchinson"
 
@@ -176,6 +177,9 @@ class HutchinsonTraceProvider:
         if power == 1:
             return trace_inv_hutchinson(eta, self.solver, self.n_vectors,
                                         self.seed)[0]
+        if power != 2:
+            raise InputError(f"Hutchinson traces support powers 1 and 2, "
+                             f"got {power}")
         G2 = self.solver.probe_grams(self.n_vectors, self.seed, eta, 2)[1]
         return float(np.mean(np.diag(G2)))
 

@@ -570,6 +570,30 @@ class TestKernelOptimization:
         # simplex iteration
         assert report.diagnostics["n_posterior_evals"] <= 60 + 4
 
+    def test_profile_optimize_counts_sum_the_inner_reports(self,
+                                                         monkeypatch):
+        # every count is the sum over the inner runs whose posterior value
+        # the search used, plus the final run at the optimum
+        from etafit import estimation
+        ds = generate_synthetic(64, 0.2, seed=13)
+        reports = []
+
+        def recording(*args, **kwargs):
+            reports.append(estimate_variances(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(estimation, "estimate_variances", recording)
+        report = estimation.profile_optimize(self.builder_for(ds), (0.1, 1.0),
+                                             None, tol=1e-2, max_evals=40)
+        used = [rep for rep in reports[:-1]
+                if rep.outcome != "degenerate"
+                and not (rep.outcome == "error_dominated"
+                         and rep.diagnostics["jitter"] > 0.0)] + reports[-1:]
+        assert reports[-1].n_root_iters > 0
+        for name in ("n_ell_evals", "n_deriv_evals", "n_root_iters"):
+            assert getattr(report, name) == sum(getattr(rep, name)
+                                                for rep in used), name
+
     def test_error_dominated_estimate_on_singular_kernel_rejected(self):
         # on this instance the profiled posterior keeps rising towards
         # smooth kernels that are singular at working precision, where

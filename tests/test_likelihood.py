@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_g_h, dense_m1, dense_solver, random_model
+from etafit.datagen import generate_synthetic
 from etafit.errors import InputError, ModelError
 from etafit.design import BasisSpec, build_design
 from etafit.kernels import CorrelationKernel, correlation_matrix
@@ -64,6 +65,21 @@ class TestSigma2Hat:
         model = GpModel(X.entries @ np.ones(3), X, K, pts)
         with pytest.raises(ModelError):
             sigma2_hat(model, 1.0, dense_solver(model))
+
+    def test_ill_conditioned_design_is_singular_in_the_inner_system(self):
+        # poly:12 on the 400-point grid, kappa(X) = 1.5e9: the design and
+        # the model take it as full rank, but X' K_eta^-1 X is singular at
+        # working precision
+        ds = generate_synthetic(400, 0.2, seed=23)
+        X = build_design(ds.points, BasisSpec("polynomial", 12))
+        K = correlation_matrix(ds.points,
+                               CorrelationKernel("exponential", 0.1))
+        model = GpModel(ds.z, X, K, ds.points)
+        solver = dense_solver(model)
+        for eta in (1e-3, 1.0, 1e3):
+            with pytest.raises(ModelError,
+                               match=r"X' K_eta\^\{-1\} X is singular"):
+                sigma2_hat(model, eta, solver)
 
 
 class TestLogMarginalLikelihood:

@@ -15,7 +15,7 @@ import etafit.model
 from conftest import (dense_m1, dense_p, dense_solver, gls_beta, m_action,
                       oracle_traces, random_model)
 from etafit.datagen import generate_synthetic
-from etafit.design import BasisSpec, build_design
+from etafit.design import BasisSpec, DesignMatrix, build_design
 from etafit.errors import InputError, ModelError, SolverError
 from etafit.estimation import estimate_variances
 from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
@@ -366,6 +366,32 @@ class TestGpModel:
     def test_degenerate_flag_only_for_range_data(self):
         model = random_model(n=10, q=1, seed=16)
         assert not model.degenerate
+
+    def test_one_thin_svd_of_the_design(self):
+        model = random_model(n=10, q=1, seed=16)
+        X, U = model.X.entries, model.basis
+        np.testing.assert_allclose(U.T @ U, np.eye(model.m), atol=1e-12)
+        np.testing.assert_allclose(U @ (U.T @ X), X, atol=1e-12)
+        assert model.logdet_xtx == pytest.approx(
+            np.linalg.slogdet(X.T @ X)[1], rel=1e-12)
+        ols, *_ = np.linalg.lstsq(X, model.z, rcond=None)
+        np.testing.assert_allclose(model.residual, model.z - X @ ols,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("taper", [0.0, 0.05])
+    def test_rank_deficient_design_raises_model_error(self, taper):
+        # the fourth column is the sum of two others; the model rejects it
+        # when it is built, in either storage of K
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(size=(60, 2))
+        X = build_design(pts, BasisSpec("polynomial", 1)).entries
+        K = correlation_matrix(pts, CorrelationKernel(
+            "exponential", 0.1, taper_threshold=taper))
+        assert K.storage == ("sparse" if taper else "dense")
+        with pytest.raises(ModelError, match="rank 3 < m 4"):
+            GpModel(rng.standard_normal(60),
+                    DesignMatrix(np.column_stack([X, X[:, 1] + X[:, 2]])),
+                    K, pts)
 
 
 class TestHyperParams:

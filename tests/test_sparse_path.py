@@ -16,8 +16,7 @@ from etafit.errors import ModelError, SolverError
 from etafit.estimation import EstimateConfig, estimate_variances
 from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
-from etafit.likelihood import (d2_ell_deta2, d_ell_deta, profile_ell,
-                               sigma2_hat)
+from etafit.likelihood import d2_ell_deta2, d_ell_deta, profile_ell
 from etafit.model import (GpModel, Solver, block_lanczos, rademacher_probes,
                           sparse_lu)
 from etafit.traces import (DEFAULT_HUTCHINSON_VECTORS,
@@ -282,11 +281,10 @@ class TestLanczosGrams:
                                                         sparse_problem):
         from etafit.design import DesignMatrix
         X = sparse_problem.X.entries
-        model = GpModel(sparse_problem.z,
-                        DesignMatrix(np.column_stack([X, X[:, 1]])),
-                        sparse_problem.K, sparse_problem.points)
         with pytest.raises(ModelError):
-            sigma2_hat(model, 0.5, Solver(sparse_problem.K))
+            GpModel(sparse_problem.z,
+                    DesignMatrix(np.column_stack([X, X[:, 1]])),
+                    sparse_problem.K, sparse_problem.points)
 
     def test_step_budget(self, sparse_problem, monkeypatch):
         monkeypatch.setattr(etafit.model, "LANCZOS_STEPS_PER_POINT",
@@ -366,6 +364,16 @@ class TestSolverErrors:
         with pytest.raises(SolverError, match="K \\+ 0.0 I"):
             spectrum_bounds(Solver(duplicate_point_K()))
 
+    def test_coincident_points_are_named(self):
+        K = duplicate_point_K()
+        assert K.has_duplicates
+        with pytest.raises(SolverError) as info:
+            Solver(K).logdet(0.0)
+        assert str(info.value) == (
+            "K + 0.0 I is singular: points 0 and 1 coincide (1 coincident "
+            "pair(s) in all), so K has equal rows; K + eta I with eta > 0 "
+            "still factors")
+
     def test_indefinite_logdet_raises_solver_error(self):
         # tridiagonal with off-diagonal 0.8: eigenvalues 1 + 1.6 cos(...)
         # reach -0.59, so K is indefinite yet nonsingular
@@ -404,9 +412,8 @@ class TestSolverErrors:
         col = rng.standard_normal(10)
         X = DesignMatrix(np.column_stack([col, col]))  # duplicate columns
         K = correlation_matrix(pts, CorrelationKernel("exponential", 0.2))
-        model = GpModel(rng.standard_normal(10), X, K, pts)
         with pytest.raises(ModelError):
-            sigma2_hat(model, 0.5, Solver(K))
+            GpModel(rng.standard_normal(10), X, K, pts)
 
 
 def indefinite_grid_K(n, alpha):

@@ -158,6 +158,29 @@ def test_sparse_linalg_use_is_superlu_only():
     assert used == {"splu"}
 
 
+def test_design_is_factored_by_the_model_alone():
+    # X is factored once per model, by the thin SVD in GpModel; no module
+    # solves least squares, takes a determinant of X'X or Cholesky-factors
+    # it, and the asymptotes read the model's basis, not scipy.linalg
+    banned = {"lstsq", "slogdet", "cho_factor", "cho_solve"}
+    found = {}
+    for path in sorted((ROOT / "src" / "etafit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {(dotted(node.func) or "").rpartition(".")[2]
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        if names & banned:
+            found[path.name] = sorted(names & banned)
+    assert found == {}
+    analysis = ast.parse((ROOT / "src" / "etafit" / "analysis.py").read_text())
+    modules = {alias.name for node in ast.walk(analysis)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(analysis)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    assert not any(name.startswith("scipy") for name in modules)
+
+
 def test_thread_policy_lives_in_model_without_environment_settings():
     # OpenBLAS reads its environment once, when it loads, so no module
     # touches the environment; the thread count of block Lanczos is set

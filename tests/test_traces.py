@@ -78,6 +78,14 @@ class TestHutchinson:
         with pytest.raises(InputError):
             trace_inv_hutchinson(1.0, solver, 1)
 
+    def test_provider_rejects_powers_other_than_one_and_two(self):
+        provider = HutchinsonTraceProvider(Solver(CorrelationMatrix(
+            np.eye(25))), 8, seed=0)
+        assert provider(1.5, 2) == pytest.approx(25.0 / 2.5 ** 2, rel=1e-12)
+        for power in (0, 3):
+            with pytest.raises(InputError, match="powers 1 and 2"):
+                provider(1.5, power)
+
     def test_deterministic_given_seed(self):
         K = random_corr(60, seed=4)
         solver = Solver(K)
