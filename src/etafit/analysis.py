@@ -19,8 +19,6 @@ from .model import GpModel, Solver
 
 INTERVAL_FLOOR = 1e-6
 INTERVAL_CEIL = 1e8
-# Remark-13 regime: approximate trace(N), trace(N^2) when n >> m.
-LARGE_N_FACTOR = 50
 
 
 @dataclass
@@ -46,7 +44,6 @@ class AsymptoteCoefficients:
     a3: float
     trace_n: float
     trace_n2: float
-    large_n_approx: bool
 
 
 def spectrum_bounds(solver: Solver) -> SpectrumSummary:
@@ -93,29 +90,23 @@ def asymptote_coefficients(model: GpModel) -> AsymptoteCoefficients:
     Powers of N = K Q are never materialized; each a_i comes from nested
     K-products and projections Q = I - U U' (U = ``GpModel.basis``) applied
     to y0, the normalized ``residual``.  tr N and tr N^2 come from one
-    product KU, or, when n > LARGE_N_FACTOR * m (``large_n_approx``), are
-    replaced by their n >> m surrogates n and ||K||_F^2.
+    product KU.
     """
     if model.degenerate:
         raise ModelError("observations lie in the range of the design "
                          "matrix; asymptote coefficients are undefined")
     n, m = model.n, model.m
-    large_n_approx = n > LARGE_N_FACTOR * m
     U = model.basis
     K = model.K.entries
 
     def q_apply(v):
         return v - U @ (U.T @ v)
 
-    if large_n_approx:
-        trace_n = float(n)
-        trace_n2 = _frobenius_sq(model.K)
-    else:
-        KU = K @ U
-        UKU = U.T @ KU
-        trace_n = float(n - np.trace(UKU))
-        trace_n2 = float(_frobenius_sq(model.K) - 2.0 * np.sum(KU * KU)
-                         + np.sum(UKU * UKU))
+    KU = K @ U
+    UKU = U.T @ KU
+    trace_n = float(n - np.trace(UKU))
+    trace_n2 = float(_frobenius_sq(model.K) - 2.0 * np.sum(KU * KU)
+                     + np.sum(UKU * UKU))
 
     t1 = trace_n / (n - m)
     t2 = trace_n2 / (n - m)
@@ -135,8 +126,7 @@ def asymptote_coefficients(model: GpModel) -> AsymptoteCoefficients:
     a1 = t2 + t1 * p1 - 2.0 * p2
     a2 = -(t2 * p1 + t1 * p2 - 2.0 * p3)
     a3 = t2 * p2 - p4
-    return AsymptoteCoefficients(a0, a1, a2, a3, trace_n, trace_n2,
-                                 large_n_approx)
+    return AsymptoteCoefficients(a0, a1, a2, a3, trace_n, trace_n2)
 
 
 def asymptote_d_ell(coeffs: AsymptoteCoefficients, n: int, m: int,

@@ -522,7 +522,6 @@ def estimate_variances(model: GpModel,
         "asymptote": {"a0": coeffs.a0, "a1": coeffs.a1, "a2": coeffs.a2,
                       "a3": coeffs.a3, "trace_n": coeffs.trace_n,
                       "trace_n2": coeffs.trace_n2,
-                      "large_n_approx": coeffs.large_n_approx,
                       "roots_order1": roots1, "roots_order2": roots2},
         "scan": {"log10_eta": grid_t.tolist(), "d_ell": grid_d.tolist(),
                  "bound_first": [b[0] for b in bounds_at_probes],

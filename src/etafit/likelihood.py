@@ -5,9 +5,10 @@ With Sigma = sigma^2 (K + eta I) the marginal likelihood over the data (with
 the regression coefficients integrated out) profiles in closed form over
 sigma^2; what remains is a univariate function of eta whose derivatives are
 built from traces of K_eta^-p and the (m+1) x (m+1) Gram matrices
-G_p = R' K_eta^-p R of R = [X | z] (``Solver.grams``), whitened by one
-Cholesky factor of G_1 per eta (``_pieces``).  Derivative evaluations never
-touch the log-determinant, so they stay cheap on sparse paths.
+G_p = R' K_eta^-p R of R = [U | z], U = ``GpModel.basis`` (``Solver.grams``),
+whitened by one Cholesky factor of G_1 per eta (``_pieces``).  Derivative
+evaluations never touch the log-determinant, so they stay cheap on sparse
+paths.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import scipy.linalg as sla
 import scipy.linalg.lapack as lapack
 
 from .errors import InputError, ModelError
+from .kernels import require_dense_memory
 from .model import GpModel, Solver
 from .traces import ExactTraceProvider, HutchinsonTraceProvider
 
@@ -62,19 +64,20 @@ def trace_provider(solver: Solver, seed: int = 0):
 def _pieces(model: GpModel, eta: float, solver: Solver,
             count: int) -> SimpleNamespace:
     """Per-eta quantities from G_p = R' K_eta^{-p} R, p <= count
-    (``Solver.grams``), and one Cholesky factor of G_1 from its lower
-    triangle (X' K_eta^{-1} z from row m), L = [[L_B, 0], [l', lambda]]:
-    L_B is that of B = X' K_eta^{-1} X, and z' M z = lambda^2.  ``W`` holds the whitened
-    W_p = L^-1 G_p L^-T for p >= 2, the Gram matrices of R~ = R L^-T.  As
-    R~' K_eta^-1 R~ = I and M z = lambda K_eta^-1 r~ for the last column
-    r~ of R~, every other form and trace of M is read from W_2 and W_3."""
+    (``Solver.grams``, R = [U | z]), and one Cholesky factor of G_1,
+    L = [[L_B, 0], [l', lambda]]: z' M z = lambda^2, and log det B of
+    B = X' K_eta^{-1} X is log det L_B^2 + ``logdet_xtx``.  ``W`` holds the
+    whitened W_p = L^-1 G_p L^-T for p >= 2, the Gram matrices of
+    R~ = R L^-T.  As R~' K_eta^-1 R~ = I and M z = lambda K_eta^-1 r~ for
+    the last column r~ of R~, every other form and trace of M, which
+    depend on range(X) alone, is read from W_2 and W_3."""
     G = solver.grams(model, eta, count)
     m = model.m
     L, info = lapack.dpotrf(G[0], lower=1)
     if 0 < info <= m:
         raise ModelError(f"X' K_eta^{{-1}} X is singular at eta={eta}")
-    # pivots^2 bound the spectrum of B, so a ratio at rounding level means
-    # B is singular at working precision even when the factorization ran
+    # pivots^2 bound the spectrum of U' K_eta^-1 U: a ratio at rounding
+    # level means B is singular at working precision, though factored
     pivots = np.diag(L)[:m] ** 2
     ratio = pivots.min() / pivots.max()
     if ratio <= m * np.finfo(float).eps:
@@ -85,7 +88,8 @@ def _pieces(model: GpModel, eta: float, solver: Solver,
     L_inv = lapack.dtrtri(L, lower=1)[0] if count > 1 else None
     W = [L_inv @ Gp @ L_inv.T for Gp in G[1:]]
     return SimpleNamespace(z_m_z=float(L[m, m] ** 2), W=W,
-                           logdet_B=2.0 * float(np.sum(np.log(np.diag(L)[:m]))))
+                           logdet_B=2.0 * float(np.sum(np.log(np.diag(L)[:m])))
+                           + model.logdet_xtx)
 
 
 def _require_nondegenerate(model: GpModel):
@@ -209,9 +213,10 @@ def ell_derivative_generic(model: GpModel, sigma2: float, eta: float,
     """k-th derivative of the log marginal likelihood in an arbitrary
     hyperparameter with covariance derivative ``sigma_dot``.
 
-    Dense construction, intended for small n.  ``sigma_dot`` may be an
-    n x n symmetric array or a callable applying it to a matrix.  The
-    covariance is assumed linear in the hyperparameter for k = 2.
+    Dense construction for small n; InputError when memory cannot hold
+    it.  ``sigma_dot`` may be an n x n symmetric array or a callable
+    applying it to a matrix.  The covariance is assumed linear in the
+    hyperparameter for k = 2.
     """
     if k not in (1, 2):
         raise InputError("only derivative orders 1 and 2 are supported")
@@ -219,16 +224,18 @@ def ell_derivative_generic(model: GpModel, sigma2: float, eta: float,
     if not (np.isfinite(sigma2) and sigma2 > 0):
         raise InputError(f"sigma2 must be positive, got {sigma2}")
     n = model.n
+    # at most four n x n arrays at once (tracemalloc): Sd, M, SdM, SdM^2
+    require_dense_memory(n, 4.0, "the generic likelihood derivative")
     Sd = sigma_dot(np.eye(n)) if callable(sigma_dot) else np.asarray(
         sigma_dot, dtype=float)
     if Sd.shape != (n, n):
         raise InputError("sigma_dot must act as an n x n matrix")
 
-    X = model.X.entries
-    Sigma = sigma2 * (model.K.toarray() + eta * np.eye(n))
-    Sigma_inv = sla.inv(Sigma)
-    SX = Sigma_inv @ X
-    M = Sigma_inv - SX @ sla.solve(X.T @ SX, SX.T, assume_a="sym")
+    U = model.basis
+    M = sla.inv(sigma2 * (model.K.toarray() + eta * np.eye(n)),
+                overwrite_a=True)  # Sigma^-1, made M in place
+    SU = M @ U
+    M -= SU @ sla.solve(U.T @ SU, SU.T, assume_a="sym")
 
     SdM = Sd @ M
     z = model.z

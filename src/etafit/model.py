@@ -2,7 +2,7 @@
 log-determinants of K_eta = K + eta I.
 
 The storage of K picks the backend, and both read Gram matrices
-B' K_eta^-p B of a block B (the likelihood's [X | z], or the Rademacher
+B' K_eta^-p B of a block B (the likelihood's [U | z], or the Rademacher
 trace probes) from a banded T by one banded Cholesky per eta.  Dense K is
 reduced once to tridiagonal form K = Q T Q' by Householder reflections;
 the eigenvalues of T give the log-determinants and traces.  On sparse K,
@@ -132,7 +132,7 @@ class Solver:
 
     ``grams`` and ``probe_grams`` read a block's Gram matrices from its
     ``KrylovState``, by one banded Cholesky per eta in either storage.
-    ``grams`` gives the likelihood everything it needs from [X | z] as
+    ``grams`` gives the likelihood everything it needs from [U | z] as
     (m+1) x (m+1) Gram matrices, so no n x n work and no n-length vector
     leaves the solver per eta.  A solver is bound to one correlation
     matrix, and keeps two Krylov states: that of the model ``grams`` last
@@ -189,7 +189,8 @@ class Solver:
         return self._probes[1].steps if self._probes else 0
 
     def grams(self, model: GpModel, eta: float, count: int) -> list:
-        """[G_1, ..., G_count] with G_p = R' K_eta^{-p} R, R = [X | z].
+        """[G_1, ..., G_count] with G_p = R' K_eta^{-p} R, R = [U | z] for
+        the orthonormal basis U of range(X) (``GpModel.basis``).
 
         R's ``KrylovState`` is built once for the model the solver last
         served: C = Q'R on dense K, one block Lanczos run on R on sparse
@@ -199,7 +200,7 @@ class Solver:
         """
         _check_eta(eta)
         if self._per_model is None or self._per_model[0] is not model:
-            R = np.column_stack([model.X.entries, model.z])
+            R = np.column_stack([model.basis, model.z])
             self._per_model = (model, self._krylov_state(R))
         return _banded_grams(self._per_model[1], eta, count)
 
@@ -429,10 +430,10 @@ def block_lanczos(K, R: np.ndarray, tol: float,
     ``Solver`` runs it under one OpenBLAS thread (``_one_blas_thread``):
     on two threads its thin n x b products ran slower, not faster (at
     n = 16384, 2 cores: the run on the 20 trace probes took 1.45-2.29 s
-    against 0.52-0.55 s, and that on [X | z] 0.96-1.17 s against 0.19 s).
-    The limit is process-wide while the run lasts, and lifted after it;
-    the dense tridiagonal reduction keeps every thread, which its
-    ``dsytrd`` needs.
+    against 0.52-0.55 s, and that on the model's m + 1 columns 0.96-1.17 s
+    against 0.19 s).  The limit is process-wide while the run lasts, and
+    lifted after it; the dense tridiagonal reduction keeps every thread,
+    which its ``dsytrd`` needs.
     """
     b = R.shape[1]
     Q, B1 = _deflated_qr(R, float(np.linalg.norm(R, axis=0).max()))

@@ -46,36 +46,39 @@ def oracle_traces(K):
 
 
 def m_action(model, eta, solver):
-    """w = M_{1,eta} z = K_eta^{-1} [X | z] v with v = [-beta; 1] and beta
+    """w = M_{1,eta} z = K_eta^{-1} [U | z] v with v = [-beta; 1] and beta
     from the solver's Gram matrix (``gls_beta``)."""
     v = np.append(-gls_beta(model, eta, solver), 1.0)
-    return solver.solve(eta, np.column_stack([model.X.entries, model.z]) @ v)
+    return solver.solve(eta, np.column_stack([model.basis, model.z]) @ v)
 
 
 def gls_beta(model, eta, solver):
-    """GLS coefficients (X' Kinv X)^{-1} X' Kinv z from the solver's
-    G_1 = [X | z]' Kinv [X | z]."""
+    """GLS coefficients (U' Kinv U)^{-1} U' Kinv z in the model's
+    orthonormal basis U of range(X), from the solver's
+    G_1 = [U | z]' Kinv [U | z]."""
     G1 = solver.grams(model, eta, 1)[0]
     m = model.m
     return np.linalg.solve(G1[:m, :m], G1[m, :m])
 
 
 def dense_m1(model, eta):
-    """M_{1,eta} built from its definition with explicit inverses."""
+    """M_{1,eta} built from its definition with explicit inverses, on the
+    orthonormal basis U of range(X), on which M depends alone."""
     n = model.n
     Kinv = np.linalg.inv(model.K.toarray() + eta * np.eye(n))
-    X = model.X.entries
-    mid = np.linalg.inv(X.T @ Kinv @ X)
-    return Kinv - Kinv @ X @ mid @ X.T @ Kinv
+    U = model.basis
+    mid = np.linalg.inv(U.T @ Kinv @ U)
+    return Kinv - Kinv @ U @ mid @ U.T @ Kinv
 
 
 def dense_p(model, eta):
-    """Projection P_eta = I - X (X' Kinv X)^{-1} X' Kinv."""
+    """Projection P_eta = I - X (X' Kinv X)^{-1} X' Kinv, built on the
+    orthonormal basis U of range(X) in place of X."""
     n = model.n
     Kinv = np.linalg.inv(model.K.toarray() + eta * np.eye(n))
-    X = model.X.entries
-    mid = np.linalg.inv(X.T @ Kinv @ X)
-    return np.eye(n) - X @ mid @ X.T @ Kinv
+    U = model.basis
+    mid = np.linalg.inv(U.T @ Kinv @ U)
+    return np.eye(n) - U @ mid @ U.T @ Kinv
 
 
 def dense_g_h(model, eta):

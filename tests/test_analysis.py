@@ -173,18 +173,19 @@ class TestAsymptote:
         assert rel_errs[-1] < 1e-3
         assert rel_errs[-1] < rel_errs[0]
 
-    def test_large_n_approximation_replaces_traces_only(self):
-        # n = 150 > LARGE_N_FACTOR * m with m = 1
+    @pytest.mark.parametrize("taper", [0.0, 0.3])
+    def test_traces_are_exact_when_n_far_exceeds_m(self, taper):
+        # n = 150 and m = 1: n >> m, the regime of Remark 13's surrogates
+        # n and ||K||_F^2 for trace(N) and trace(N^2); dense and sparse K
         model = random_model(n=150, q=0, seed=59)
-        approx = asymptote_coefficients(model)
-        assert approx.large_n_approx
-        assert approx.trace_n == model.n
-        K = model.K.toarray()
-        assert approx.trace_n2 == pytest.approx(np.sum(K * K), rel=1e-12)
-        # a0 = -trace(N) / (n - m) + p1, with the exact trace(N) of N = K Q
+        K = correlation_matrix(model.points, CorrelationKernel(
+            "exponential", 0.4, taper_threshold=taper))
+        assert K.storage == ("sparse" if taper else "dense")
+        model = GpModel(model.z, model.X, K, model.points)
+        coeffs = asymptote_coefficients(model)
         _, N = dense_q_n(model)
-        exact_a0 = approx.a0 + (model.n - np.trace(N)) / (model.n - model.m)
-        assert approx.a0 == pytest.approx(exact_a0, rel=0.1)
+        assert coeffs.trace_n == pytest.approx(np.trace(N), rel=1e-9)
+        assert coeffs.trace_n2 == pytest.approx(np.trace(N @ N), rel=1e-9)
 
     def test_neumann_expansion_error_decays_like_eta_fourth(self):
         model = random_model(n=8, q=1, seed=60)
@@ -200,16 +201,15 @@ class TestAsymptote:
 
 class TestAsymptoteRoots:
     def test_linear_root(self):
-        coeffs = AsymptoteCoefficients(1.0, -2.0, 0.0, 0.0, 0.0, 0.0, False)
+        coeffs = AsymptoteCoefficients(1.0, -2.0, 0.0, 0.0, 0.0, 0.0)
         assert asymptote_roots(coeffs, 1) == [2.0]
 
     def test_no_linear_root_when_leading_term_vanishes(self):
-        coeffs = AsymptoteCoefficients(0.0, -2.0, 0.0, 0.0, 0.0, 0.0, False)
+        coeffs = AsymptoteCoefficients(0.0, -2.0, 0.0, 0.0, 0.0, 0.0)
         assert asymptote_roots(coeffs, 1) == []
 
     def test_cubic_roots_match_companion_matrix_oracle(self):
-        coeffs = AsymptoteCoefficients(2.0, -13.0, 17.0, 10.0, 0.0, 0.0,
-                                       False)
+        coeffs = AsymptoteCoefficients(2.0, -13.0, 17.0, 10.0, 0.0, 0.0)
         got = asymptote_roots(coeffs, 2)
         # companion matrix of 2 x^3 - 13 x^2 + 17 x + 10, built by hand
         a = np.array([-13.0, 17.0, 10.0]) / 2.0

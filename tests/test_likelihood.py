@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+import etafit.kernels
 from conftest import dense_g_h, dense_m1, dense_solver, random_model
 from etafit.datagen import generate_synthetic
-from etafit.errors import InputError, ModelError
 from etafit.design import BasisSpec, build_design
+from etafit.errors import InputError, ModelError
+from etafit.estimation import estimate_variances
 from etafit.kernels import CorrelationKernel, correlation_matrix
 from etafit.likelihood import (LOG_2PI, d2_ell_deta2, d_ell_deta,
                                ell_derivative_generic, ell_infinite_eta,
@@ -66,20 +69,34 @@ class TestSigma2Hat:
         with pytest.raises(ModelError):
             sigma2_hat(model, 1.0, dense_solver(model))
 
-    def test_ill_conditioned_design_is_singular_in_the_inner_system(self):
-        # poly:12 on the 400-point grid, kappa(X) = 1.5e9: the design and
-        # the model take it as full rank, but X' K_eta^-1 X is singular at
-        # working precision
+    def test_ill_conditioned_design_fits_at_the_eigenbasis_root(self):
+        # poly:12 on the 400-point grid, kappa(X) = 1.5e9: X' K_eta^-1 X is
+        # singular at working precision, U' K_eta^-1 U is not, and the fit
+        # matches an eigenbasis oracle on a QR basis of X
         ds = generate_synthetic(400, 0.2, seed=23)
         X = build_design(ds.points, BasisSpec("polynomial", 12))
         K = correlation_matrix(ds.points,
                                CorrelationKernel("exponential", 0.1))
         model = GpModel(ds.z, X, K, ds.points)
-        solver = dense_solver(model)
-        for eta in (1e-3, 1.0, 1e3):
-            with pytest.raises(ModelError,
-                               match=r"X' K_eta\^\{-1\} X is singular"):
-                sigma2_hat(model, eta, solver)
+        report = estimate_variances(model)
+        assert report.outcome == "interior"
+        t_hat = math.log10(report.hyperparams.eta)
+
+        lam, V = np.linalg.eigh(K.toarray())
+        Qt = V.T @ np.linalg.qr(X.entries)[0]
+        zt = V.T @ ds.z
+        n, m = Qt.shape
+
+        def d_ell(t):
+            d = 1.0 / (lam + 10.0 ** t)
+            DQ = d[:, None] * Qt
+            B = Qt.T @ DQ
+            w = d * zt - DQ @ np.linalg.solve(B, DQ.T @ zt)
+            trace_m = np.sum(d) - np.trace(np.linalg.solve(B, DQ.T @ DQ))
+            return -0.5 * (trace_m - (n - m) * (w @ w) / (zt @ w))
+
+        oracle = brentq(d_ell, t_hat - 0.01, t_hat + 0.01, xtol=1e-13)
+        assert t_hat == pytest.approx(oracle, abs=1e-9)
 
 
 class TestLogMarginalLikelihood:
@@ -293,6 +310,31 @@ class TestGenericDerivative:
         via_callable = ell_derivative_generic(model, 1.0, 0.5,
                                               lambda V: S @ V, 1)
         assert direct == pytest.approx(via_callable, rel=1e-12)
+
+    def test_refused_beyond_available_memory(self, monkeypatch):
+        # sparse K at a size whose dense M would not fit: the guard fires
+        # before sigma_dot is first applied
+        model = random_model(n=60, seed=43)
+        n = model.n
+        K = correlation_matrix(model.points, CorrelationKernel(
+            "exponential", 0.2, taper_threshold=0.3))
+        assert K.storage == "sparse"
+        model = GpModel(model.z, model.X, K, model.points)
+        calls = []
+
+        def sigma_dot(V):
+            calls.append(V.shape)
+            return V
+
+        monkeypatch.setattr(etafit.kernels, "available_memory",
+                            lambda: int(8 * 3.5 * n * n))
+        with pytest.raises(InputError, match="generic likelihood derivative"):
+            ell_derivative_generic(model, 1.0, 0.5, sigma_dot, 2)
+        assert calls == []
+        monkeypatch.setattr(etafit.kernels, "available_memory",
+                            lambda: int(8 * 4.0 * n * n))
+        ell_derivative_generic(model, 1.0, 0.5, sigma_dot, 2)
+        assert calls == [(n, n)]
 
     def test_order_capped_at_two(self):
         model = random_model(n=6, seed=41)

@@ -144,9 +144,9 @@ class TestSolver:
 
 
 def _oracle_cases():
-    """(K, R = [X | z]) pairs: the barely indefinite matrix of
-    ``test_jitter_retry_on_indefinite_matrix``, a poly:3 design (m = 10)
-    and the edge sizes n = 1 and n = 2."""
+    """(K, R = [U | z]) pairs: the barely indefinite matrix of
+    ``test_jitter_retry_on_indefinite_matrix``, the orthonormal basis of
+    a poly:3 design (m = 10) and the edge sizes n = 1 and n = 2."""
     rng = np.random.default_rng(23)
     A = np.eye(4)
     A[0, 1] = A[1, 0] = 1.0 + 1e-13
@@ -156,7 +156,7 @@ def _oracle_cases():
     X = build_design(pts, BasisSpec("polynomial", 3))
     assert X.m == 10
     cases["poly3"] = (correlation_matrix(pts, CorrelationKernel(
-        "exponential", 0.2)), np.column_stack([X.entries,
+        "exponential", 0.2)), np.column_stack([np.linalg.qr(X.entries)[0],
                                                rng.standard_normal(150)]))
     for n in (1, 2):
         pts = rng.uniform(size=(n, 2))
@@ -188,8 +188,7 @@ class TestTridiagonalBackend:
         # number of K_eta; 1e-12 for every case but the jittered K at
         # eta = 0, whose smallest eigenvalue sits at the rounding floor
         rtol = max(1e-12, 8 * np.finfo(float).eps * d.max() / d.min())
-        model = SimpleNamespace(X=SimpleNamespace(entries=R[:, :-1]),
-                                z=R[:, -1])
+        model = SimpleNamespace(basis=R[:, :-1], z=R[:, -1])
         for p, G in enumerate(solver.grams(model, eta, 3), start=1):
             expected = C.T @ (d[:, None] ** p * C)
             assert np.abs(G - expected).max() <= rtol * np.abs(expected).max()
@@ -249,10 +248,17 @@ class TestM1Apply:
                                        expected, atol=1e-10)
 
 
+def gls_beta_x(model, eta, solver):
+    """``gls_beta`` in the coordinates of X: X beta = U beta_U."""
+    beta_u = gls_beta(model, eta, solver)
+    return np.linalg.lstsq(model.X.entries, model.basis @ beta_u,
+                           rcond=None)[0]
+
+
 class TestBetaGls:
     def test_identity_correlation_reduces_to_ols(self):
         model = identity_model(n=15, q=1, seed=7)
-        beta = gls_beta(model, 0.0, dense_solver(model))
+        beta = gls_beta_x(model, 0.0, dense_solver(model))
         ols, *_ = np.linalg.lstsq(model.X.entries, model.z, rcond=None)
         np.testing.assert_allclose(beta, ols, atol=1e-10)
 
@@ -263,7 +269,7 @@ class TestBetaGls:
         K = correlation_matrix(pts, CorrelationKernel("exponential", 0.3))
         beta_true = np.array([0.4, 1.5, -0.7])
         model = GpModel(X.entries @ beta_true, X, K, pts)
-        beta = gls_beta(model, 1.3, dense_solver(model))
+        beta = gls_beta_x(model, 1.3, dense_solver(model))
         np.testing.assert_allclose(beta, beta_true, atol=1e-10)
 
     def test_matches_dense_normal_equations(self):
@@ -273,7 +279,7 @@ class TestBetaGls:
         Kinv = np.linalg.inv(model.K.toarray() + eta * np.eye(8))
         X = model.X.entries
         expected = np.linalg.solve(X.T @ Kinv @ X, X.T @ Kinv @ model.z)
-        np.testing.assert_allclose(gls_beta(model, eta, solver), expected,
+        np.testing.assert_allclose(gls_beta_x(model, eta, solver), expected,
                                    atol=1e-9)
 
 
@@ -461,7 +467,7 @@ class TestOneBlasThread:
 
     def test_counts_restored_after_solver_error(self):
         model = small_tapered_model()
-        R = np.column_stack([model.X.entries, model.z])
+        R = np.column_stack([model.basis, model.z])
         with pytest.raises(SolverError, match="did not converge"):
             with etafit.model._one_blas_thread():
                 block_lanczos(model.K.entries, R, 1e-10, 1)

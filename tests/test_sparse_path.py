@@ -16,7 +16,8 @@ from etafit.errors import ModelError, SolverError
 from etafit.estimation import EstimateConfig, estimate_variances
 from etafit.kernels import CorrelationKernel, CorrelationMatrix, \
     correlation_matrix
-from etafit.likelihood import d2_ell_deta2, d_ell_deta, profile_ell
+from etafit.likelihood import (d2_ell_deta2, d_ell_deta, profile_ell,
+                               sigma2_hat)
 from etafit.model import (GpModel, Solver, block_lanczos, rademacher_probes,
                           sparse_lu)
 from etafit.traces import (DEFAULT_HUTCHINSON_VECTORS,
@@ -414,6 +415,25 @@ class TestSolverErrors:
         K = correlation_matrix(pts, CorrelationKernel("exponential", 0.2))
         with pytest.raises(ModelError):
             GpModel(rng.standard_normal(10), X, K, pts)
+
+    def test_pivot_ratio_flags_singular_inner_system(self):
+        # sparse K is not jittered: K_01 one ulp below 1 leaves eigenvalue
+        # 1.1e-16 on e_0 - e_1, a column of X, so U' K^-1 U is singular at
+        # working precision at eta = 0 and fine at eta > 0
+        from etafit.design import DesignMatrix
+        n = 10
+        entries = sparse.lil_matrix(np.eye(n))
+        entries[0, 1] = entries[1, 0] = np.nextafter(1.0, 0.0)
+        columns = np.zeros((n, 2))
+        columns[:2] = [[1.0, 1.0], [1.0, -1.0]]
+        rng = np.random.default_rng(1)
+        model = GpModel(rng.standard_normal(n), DesignMatrix(columns),
+                        CorrelationMatrix(entries.tocsr()),
+                        rng.uniform(size=(n, 2)))
+        solver = Solver(model.K)
+        with pytest.raises(ModelError, match="Cholesky pivot ratio"):
+            sigma2_hat(model, 0.0, solver)
+        assert sigma2_hat(model, 1.0, solver) > 0
 
 
 def indefinite_grid_K(n, alpha):

@@ -181,6 +181,17 @@ def test_design_is_factored_by_the_model_alone():
     assert not any(name.startswith("scipy") for name in modules)
 
 
+def test_design_entries_are_read_by_the_model_alone():
+    # how X is factored has one owner: GpModel reads X.entries and keeps
+    # its basis; every other module works on that basis
+    readers = sorted(
+        path.name for path in (ROOT / "src" / "etafit").glob("*.py")
+        if any((dotted(node) or "").split(".")[-2:] == ["X", "entries"]
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute)))
+    assert readers == ["model.py"]
+
+
 def test_thread_policy_lives_in_model_without_environment_settings():
     # OpenBLAS reads its environment once, when it loads, so no module
     # touches the environment; the thread count of block Lanczos is set
