@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ModelError, NumericError
-from .model import GpModel, Solver
+from .model import GpModel, Solver, one_blas_thread
 
 INTERVAL_FLOOR = 1e-6
 INTERVAL_CEIL = 1e8
@@ -102,7 +102,14 @@ def asymptote_coefficients(model: GpModel) -> AsymptoteCoefficients:
     def q_apply(v):
         return v - U @ (U.T @ v)
 
-    KU = K @ U
+    y0 = model.residual / np.linalg.norm(model.residual)
+    # products of K with thin blocks run on one thread, as in the solver
+    with one_blas_thread():
+        KU = K @ U
+        v1 = K @ y0
+        v2 = K @ q_apply(v1)
+        v3 = K @ q_apply(v2)
+        v4 = K @ q_apply(v3)
     UKU = U.T @ KU
     trace_n = float(n - np.trace(UKU))
     trace_n2 = float(_frobenius_sq(model.K) - 2.0 * np.sum(KU * KU)
@@ -110,12 +117,6 @@ def asymptote_coefficients(model: GpModel) -> AsymptoteCoefficients:
 
     t1 = trace_n / (n - m)
     t2 = trace_n2 / (n - m)
-
-    y0 = model.residual / np.linalg.norm(model.residual)
-    v1 = K @ y0
-    v2 = K @ q_apply(v1)
-    v3 = K @ q_apply(v2)
-    v4 = K @ q_apply(v3)
 
     p1 = float(y0 @ v1)
     p2 = float(y0 @ v2)

@@ -10,6 +10,16 @@ Dense assembly evaluates the kernel on one triangle (the condensed
 ``pdist`` vector) and mirrors it, so symmetry is exact.  The general
 Matern branch calls the Bessel function once per distinct distance, which
 on a grid is a few hundred calls instead of one per pair.
+
+That branch reads the distinct pair distances from a one-entry memo,
+since a kernel search assembles K over the same points at every step.
+The memo is keyed on the points' shape and bytes, and holds the sorted
+distinct distances and the index that expands them back to the condensed
+pair vector (``np.unique(pdist(points), return_inverse=True)``).  A
+second assembly over equal points skips ``pdist`` and the sort; points
+that differ in any bit, or in shape, replace the entry.  The other
+branches evaluate their closed forms on every pair and leave the memo
+alone.
 """
 
 from __future__ import annotations
@@ -36,10 +46,13 @@ MATERN_GAUSSIAN_NU = 25.0
 # Peak memory of dense assembly in n x n arrays of doubles, K included:
 # the condensed distances, the kernel values over them and the square K.
 # tracemalloc measured 2.5 (exponential, Gaussian) and 3.0 (half-integer
-# Matern) at n = 2500 and n = 1500, and up to 5.6 for the general Matern
-# branch, whose np.unique sorts a copy and keeps an index per pair.
+# Matern) at n = 2500 and n = 1500.  The general Matern branch peaks when
+# it misses the distance memo on scattered points, whose pair distances
+# are all distinct: 6.12 at n = 400 and 900, while the memo's distinct
+# distances and index (1.0) are alive beside the profile's temporaries
+# over them.  On a grid its miss peaks at 3.06 and its hit at 1.5.
 DENSE_ASSEMBLY_COPIES = 3.0
-BESSEL_ASSEMBLY_COPIES = 6.0
+BESSEL_ASSEMBLY_COPIES = 6.2
 
 # Where available_memory reads the host's free memory and the limits of
 # this process's cgroup.
@@ -50,6 +63,10 @@ _CGROUP_ROOT = "/sys/fs/cgroup"
 # Scaled distances below this are treated as zero in the general Matern
 # branch; K_nu overflows against x**nu underflowing long before this matters.
 _TINY_SCALED_DISTANCE = 1e-10
+
+# (key, distinct distances, inverse index) of the last point set the
+# general Matern branch assembled over; see ``_distinct_distances``
+_distance_memo = None
 
 
 @dataclass(frozen=True)
@@ -284,26 +301,41 @@ def available_memory() -> int | None:
     return max(min(known), 0) if known else None
 
 
-def require_dense_memory(n: int, copies: float, what: str) -> None:
-    """Raise InputError before an allocation of ``copies`` n x n arrays of
-    doubles that the available memory (``available_memory``) cannot hold,
-    instead of letting the operating system kill the process."""
+def _mib(nbytes: float) -> str:
+    """A byte count in MiB: whole MiB from 1 MiB up, two significant
+    digits below it, so that a small need never reads 0."""
+    mib = nbytes / 2**20
+    return f"{mib:.0f}" if mib >= 1.0 else f"{mib:.2g}"
+
+
+def _memory_shortfall(n: int, copies: float, what: str) -> str | None:
+    """What ``copies`` n x n arrays of doubles need for ``what`` against
+    the available memory (``available_memory``), when it cannot hold
+    them; None when it can or is unknown."""
     need = 8.0 * copies * n * n
     have = available_memory()
-    if have is not None and need > have:
-        raise InputError(
-            f"dense K at n={n} needs about {need / 2**20:.0f} MiB for {what}, "
-            f"but only {have / 2**20:.0f} MiB of memory is available")
+    if have is None or need <= have:
+        return None
+    return (f"about {_mib(need)} MiB for {what}, but only {_mib(have)} MiB "
+            f"of memory is available")
+
+
+def require_dense_memory(n: int, copies: float, what: str) -> None:
+    """Raise InputError before an allocation of ``copies`` n x n arrays of
+    doubles that the available memory cannot hold, instead of letting the
+    operating system kill the process."""
+    if shortfall := _memory_shortfall(n, copies, what):
+        raise InputError(f"{copies:g} dense n x n arrays at n={n} need "
+                         f"{shortfall}")
 
 
 def require_dense_K_memory(n: int, copies: float, what: str) -> None:
     """``require_dense_memory`` for K stored dense, advising the sparse
     storage of a tapered kernel, which a copy of sparse K cannot use."""
-    try:
-        require_dense_memory(n, copies, what)
-    except InputError as exc:
-        raise InputError(f"{exc}; use a tapered kernel (such as "
-                         f"exp:0.1:taper=0.05) for sparse storage") from None
+    if shortfall := _memory_shortfall(n, copies, what):
+        raise InputError(f"dense K at n={n} needs {shortfall}; use a tapered "
+                         f"kernel (such as exp:0.1:taper=0.05) for sparse "
+                         f"storage")
 
 
 def _assembly_copies(kernel: CorrelationKernel) -> float:
@@ -351,8 +383,31 @@ def correlation_matrix(points: np.ndarray,
     # its peak exceeds that of K plus the tridiagonal reduction (2 copies)
     require_dense_K_memory(n, _assembly_copies(kernel), "its assembly")
     # one triangle: the condensed pair distances (empty for n = 1)
-    dist = pdist(pts)
-    entries = squareform(kernel_profile(kernel, dist), checks=False)
+    if _bessel_matern(kernel):
+        distinct, inverse = _distinct_distances(pts)
+        condensed = kernel_profile(kernel, distinct)[inverse]
+        has_duplicates = bool(distinct.size and distinct[0] == 0.0)
+    else:
+        dist = pdist(pts)
+        condensed = kernel_profile(kernel, dist)
+        has_duplicates = bool(np.any(dist == 0.0))
+    entries = squareform(condensed, checks=False)
     np.fill_diagonal(entries, 1.0)
-    has_duplicates = bool(np.any(dist == 0.0))
     return CorrelationMatrix(entries, has_duplicates=has_duplicates)
+
+
+def _distinct_distances(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct pair distances of an (n, d) point set and the
+    index that expands them to ``pdist(pts)``, from the memo when it holds
+    equal points (see the module docstring)."""
+    global _distance_memo
+    key = (pts.shape, pts.tobytes())
+    # one read of the entry: another thread may replace it meanwhile
+    entry = _distance_memo
+    if entry is not None and entry[0] == key:
+        return entry[1], entry[2]
+    distinct, inverse = np.unique(pdist(pts), return_inverse=True)
+    # every later hit hands out these same arrays
+    distinct.flags.writeable = inverse.flags.writeable = False
+    _distance_memo = (key, distinct, inverse)
+    return distinct, inverse

@@ -19,7 +19,7 @@ import functools
 import math
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -50,6 +50,13 @@ LANCZOS_STEPS_PER_POINT = 10
 
 # starting fraction of the sparse lambda_min bound below the lowest Ritz value
 SPECTRUM_MARGIN = 0.01
+
+# Dense K of fewer points is reduced to tridiagonal form on one OpenBLAS
+# thread (``one_blas_thread``), larger K on every thread.  Measured on 2
+# cores, back-to-back dense fits of a kernel search took 12.8 ms on one
+# thread against 17.2 ms on two at n = 400, as long at 484 and 576, and
+# 35.5 against 30.9 ms at 676 (README, "Numerical notes").
+THREADED_REDUCTION_MIN_N = 600
 
 
 def spectral_jitter(lambda_min: float, n: int) -> float:
@@ -123,12 +130,17 @@ class Solver:
     lambda_min lowered until an LU of K - lambda_min I certifies it.
     Sparse storage applies no jitter and has no full spectrum (``eigvals``
     is None), and the Lanczos runs need K itself positive definite, since
-    they converge at eta = 0.  Each Lanczos run holds OpenBLAS to one
-    thread, since its products of thin n x b blocks ran slower on two (at
+    they converge at eta = 0.
+
+    Products with thin n x b blocks run on one OpenBLAS thread
+    (``one_blas_thread``) in either storage: each Lanczos run, and the
+    rotation Q'B of a Krylov state.  On two threads they ran slower (at
     n = 16384, 2 cores, the probe run took 0.52-0.55 s on one thread
-    against 1.45-2.29 s on two).  The setting is process-wide while a run
-    lasts.  The dense reduction keeps every thread, and so do the per-eta
-    banded algebra and SuperLU.
+    against 1.45-2.29 s on two).  The dense reduction runs on one thread
+    below THREADED_REDUCTION_MIN_N points and on every thread from it on,
+    where ``dsytrd`` gains from them.  The setting is process-wide while a
+    scope lasts.  The per-eta banded algebra and SuperLU keep every
+    thread.
 
     ``grams`` and ``probe_grams`` read a block's Gram matrices from its
     ``KrylovState``, by one banded Cholesky per eta in either storage.
@@ -150,7 +162,9 @@ class Solver:
         self._probes = None
         if K.storage == "dense":
             started = time.perf_counter()
-            self._tridiagonalize(K.toarray())
+            with (one_blas_thread() if K.n < THREADED_REDUCTION_MIN_N
+                  else nullcontext()):
+                self._tridiagonalize(K.toarray())
             self.factor_s = time.perf_counter() - started
 
     def _tridiagonalize(self, A: np.ndarray) -> None:
@@ -224,11 +238,11 @@ class Solver:
         return self._probes[1]
 
     def _krylov_state(self, B: np.ndarray) -> KrylovState:
-        if self._band is None:
-            with _one_blas_thread():
+        with one_blas_thread():
+            if self._band is None:
                 return block_lanczos(self.K.entries, B, LANCZOS_TOL,
                                      int(LANCZOS_STEPS_PER_POINT * self.K.n))
-        return KrylovState(self._band, self._rotate(B, "T"), 0)
+            return KrylovState(self._band, self._rotate(B, "T"), 0)
 
     def _rotate(self, B: np.ndarray, trans: str) -> np.ndarray:
         """Q'B (``trans`` "T") or QB ("N") for an n x k array B."""
@@ -382,11 +396,19 @@ def _openblas_thread_controls() -> tuple:
 
 
 @contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Run the block under one OpenBLAS thread, and restore each library's
     thread count after it, also when it raises.  The setting is
     process-wide while the block lasts: BLAS calls from other Python
-    threads run on one thread too.  Without an OpenBLAS it does nothing."""
+    threads run on one thread too.  Without an OpenBLAS it does nothing.
+
+    It is the one thread policy of the package: products with thin n x b
+    blocks (block Lanczos, the rotation Q'B of a dense Krylov state and
+    ``analysis.asymptote_coefficients``) run under it at every n, and the
+    dense reduction below THREADED_REDUCTION_MIN_N points.  A threaded
+    call wakes the sleeping OpenBLAS workers (about 7.5 ms once they have
+    idled, on 2 cores) and leaves them spinning after it, which in a
+    kernel search cost twice the CPU time for no gain in wall time."""
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]
     try:
@@ -427,13 +449,14 @@ def block_lanczos(K, R: np.ndarray, tol: float,
     deflated, never normalized into new directions, and the run ends once
     none remain (the Krylov space is exhausted and T is exact).
 
-    ``Solver`` runs it under one OpenBLAS thread (``_one_blas_thread``):
+    ``Solver`` runs it under one OpenBLAS thread (``one_blas_thread``):
     on two threads its thin n x b products ran slower, not faster (at
     n = 16384, 2 cores: the run on the 20 trace probes took 1.45-2.29 s
     against 0.52-0.55 s, and that on the model's m + 1 columns 0.96-1.17 s
     against 0.19 s).  The limit is process-wide while the run lasts, and
-    lifted after it; the dense tridiagonal reduction keeps every thread,
-    which its ``dsytrd`` needs.
+    lifted after it.  The dense tridiagonal reduction keeps every thread
+    from THREADED_REDUCTION_MIN_N points on, where its ``dsytrd`` gains
+    from them.
     """
     b = R.shape[1]
     Q, B1 = _deflated_qr(R, float(np.linalg.norm(R, axis=0).max()))

@@ -290,6 +290,114 @@ class TestOneTriangleAssembly:
         assert 0 < sum(arguments) <= np.unique(pdist(pts)).size
 
 
+MEMO_KERNELS = [
+    CorrelationKernel("exponential", 0.2),
+    CorrelationKernel("gaussian", 0.2),
+    CorrelationKernel("matern", 0.2, nu=1.5),
+    CorrelationKernel("matern", 0.2, nu=1.37),
+    CorrelationKernel("matern", 0.2, nu=etafit.kernels.MATERN_GAUSSIAN_NU),
+]
+
+
+def _condensed_assembly(pts, kernel):
+    """Reference dense assembly: the profile over ``pdist``, mirrored."""
+    K = squareform(kernel_profile(kernel, pdist(pts)), checks=False)
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
+class TestDistanceMemo:
+    """The general Matern branch reads its distinct distances from a
+    one-entry memo; K never depends on what the memo held before."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(etafit.kernels, "_distance_memo", None)
+
+    def count_pdist(self, monkeypatch):
+        calls = []
+
+        def counting(pts):
+            calls.append(len(pts))
+            return pdist(pts)
+
+        monkeypatch.setattr(etafit.kernels, "pdist", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["grid", "uniform", "duplicates"])
+    @pytest.mark.parametrize("kernel", MEMO_KERNELS,
+                             ids=lambda k: f"{k.family}-{k.nu}")
+    def test_miss_and_hit_are_bitwise_equal_to_the_condensed_assembly(
+            self, kernel, name):
+        pts = POINT_SETS[name]
+        expected = _condensed_assembly(pts, kernel)
+        for _ in ("miss", "hit"):
+            K = correlation_matrix(pts, kernel)
+            assert np.array_equal(K.toarray(), expected)
+            assert K.has_duplicates == (name == "duplicates")
+
+    def test_second_assembly_on_equal_points_skips_pdist(self, monkeypatch):
+        calls = self.count_pdist(monkeypatch)
+        kernel = CorrelationKernel("matern", 0.1, nu=1.37)
+        correlation_matrix(grid_points(9), kernel)
+        assert calls == [81]
+        # equal points in another array, and another Bessel-branch kernel
+        correlation_matrix(grid_points(9).copy(),
+                           CorrelationKernel("matern", 0.3, nu=0.7))
+        assert calls == [81]
+
+    def test_other_branches_leave_the_memo_alone(self, monkeypatch):
+        calls = self.count_pdist(monkeypatch)
+        pts = grid_points(9)
+        correlation_matrix(pts, CorrelationKernel("matern", 0.1, nu=1.37))
+        entry = etafit.kernels._distance_memo
+        for kernel in MEMO_KERNELS:
+            if not etafit.kernels._bessel_matern(kernel):
+                correlation_matrix(pts, kernel)
+        # the closed forms read pdist every time and keep nothing
+        assert len(calls) == len(MEMO_KERNELS)
+        assert etafit.kernels._distance_memo is entry
+
+    def test_points_mutated_in_place_give_the_new_matrix(self):
+        kernel = CorrelationKernel("matern", 0.2, nu=1.37)
+        pts = grid_points(6)
+        correlation_matrix(pts, kernel)
+        pts[0] += 0.05
+        K = correlation_matrix(pts, kernel)
+        assert np.array_equal(K.toarray(), _condensed_assembly(pts, kernel))
+
+    def test_equal_bytes_of_another_shape_give_their_own_matrix(self):
+        kernel = CorrelationKernel("matern", 0.2, nu=1.37)
+        pts = grid_points(4)
+        assert correlation_matrix(pts, kernel).n == 16
+        # the same 32 doubles read as 32 points on a line
+        line = pts.reshape(-1, 1)
+        K = correlation_matrix(line, kernel)
+        assert K.n == 32 and K.has_duplicates
+        assert np.array_equal(K.toarray(), _condensed_assembly(line, kernel))
+
+    def test_one_point_and_coincident_points_after_other_sets(self):
+        kernel = CorrelationKernel("matern", 0.2, nu=1.37)
+        duplicates = POINT_SETS["duplicates"]
+        for pts, flagged in [(grid_points(4), False), (duplicates, True),
+                             (duplicates, True), (POINT_SETS["n1"], False),
+                             (duplicates, True), (grid_points(4), False)]:
+            K = correlation_matrix(pts, kernel)
+            assert K.has_duplicates == flagged
+            assert np.array_equal(K.toarray(),
+                                  _condensed_assembly(pts, kernel))
+
+    def test_tapered_assembly_is_untouched(self, monkeypatch):
+        calls = self.count_pdist(monkeypatch)
+        pts = grid_points(12)
+        correlation_matrix(pts, CorrelationKernel("matern", 0.1, nu=1.37))
+        entry = etafit.kernels._distance_memo
+        K = correlation_matrix(pts, CorrelationKernel(
+            "matern", 0.1, nu=1.37, taper_threshold=0.05))
+        assert K.storage == "sparse"
+        assert calls == [144] and etafit.kernels._distance_memo is entry
+
+
 class TestDenseMemoryGuard:
     """The available-memory probe is patched, so nothing large is
     allocated whether or not the guard fires."""

@@ -331,6 +331,15 @@ class TestGenericDerivative:
         with pytest.raises(InputError, match="generic likelihood derivative"):
             ell_derivative_generic(model, 1.0, 0.5, sigma_dot, 2)
         assert calls == []
+        # the refusal names the arrays it sizes, not K, and gives the
+        # 0.11 MiB they need and the 0.096 MiB available without rounding
+        # them to 0
+        with pytest.raises(InputError) as refused:
+            ell_derivative_generic(model, 1.0, 0.5, sigma_dot, 2)
+        assert str(refused.value) == (
+            "4 dense n x n arrays at n=60 need about 0.11 MiB for the "
+            "generic likelihood derivative, but only 0.096 MiB of memory "
+            "is available")
         monkeypatch.setattr(etafit.kernels, "available_memory",
                             lambda: int(8 * 4.0 * n * n))
         ell_derivative_generic(model, 1.0, 0.5, sigma_dot, 2)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
 
+import etafit.analysis
 import etafit.model
 from conftest import (dense_m1, dense_p, dense_solver, gls_beta, m_action,
                       oracle_traces, random_model)
@@ -455,13 +457,24 @@ def report_without_timing(report):
     return repr(fields)
 
 
+def small_dense_model():
+    ds = generate_synthetic(100, 0.2, seed=23)
+    K = correlation_matrix(ds.points, CorrelationKernel("matern", 0.1, 1.37))
+    assert K.storage == "dense" and \
+        K.n < etafit.model.THREADED_REDUCTION_MIN_N
+    X = build_design(ds.points, BasisSpec("polynomial", 2))
+    return GpModel(ds.z, X, K, ds.points)
+
+
 @pytest.mark.usefixtures("two_blas_threads")
 class TestOneBlasThread:
-    """Block Lanczos runs under one OpenBLAS thread, and every library's
-    thread count comes back after it."""
+    """Products with thin blocks (block Lanczos, the rotation of a dense
+    Krylov state, the asymptote's) run under one OpenBLAS thread, and so
+    does the dense reduction of K with fewer than THREADED_REDUCTION_MIN_N
+    points; every library's thread count comes back after each."""
 
     def test_scope_sets_one_thread_and_restores_the_counts(self):
-        with etafit.model._one_blas_thread():
+        with etafit.model.one_blas_thread():
             assert blas_thread_counts() == [1] * len(blas_thread_counts())
         assert blas_thread_counts() == [2] * len(blas_thread_counts())
 
@@ -469,7 +482,7 @@ class TestOneBlasThread:
         model = small_tapered_model()
         R = np.column_stack([model.basis, model.z])
         with pytest.raises(SolverError, match="did not converge"):
-            with etafit.model._one_blas_thread():
+            with etafit.model.one_blas_thread():
                 block_lanczos(model.K.entries, R, 1e-10, 1)
         assert blas_thread_counts() == [2] * len(blas_thread_counts())
 
@@ -486,13 +499,70 @@ class TestOneBlasThread:
         assert seen == [ones, ones]
         assert blas_thread_counts() == [2] * len(ones)
 
-    def test_fit_without_openblas_gives_the_same_report(self, monkeypatch):
-        scoped = estimate_variances(small_tapered_model())
+    @pytest.mark.parametrize("at_rule", [False, True])
+    def test_dense_reduction_threads_follow_the_size_rule(self, monkeypatch,
+                                                          at_rule):
+        model = small_dense_model()
+        if at_rule:
+            monkeypatch.setattr(etafit.model, "THREADED_REDUCTION_MIN_N",
+                                model.n)
+        lapack = etafit.model.lapack
+        seen = {"dsytrd": [], "dormqr": []}
+
+        def recording(name):
+            routine = getattr(lapack, name)
+
+            def call(*args, **kwargs):
+                seen[name].append(blas_thread_counts())
+                return routine(*args, **kwargs)
+            return call
+
+        for name in seen:
+            monkeypatch.setattr(lapack, name, recording(name))
+        estimate_variances(model)
+        ones = [1] * len(blas_thread_counts())
+        assert seen["dsytrd"] == [[2] * len(ones) if at_rule else ones]
+        # the workspace query and the rotation of [U | z], at every n
+        assert seen["dormqr"] == [ones, ones]
+        assert blas_thread_counts() == [2] * len(ones)
+
+    def test_asymptote_products_run_on_one_thread(self, monkeypatch):
+        entered = []
+        scope = etafit.model.one_blas_thread
+
+        @contextlib.contextmanager
+        def recording():
+            with scope():
+                entered.append(blas_thread_counts())
+                yield
+
+        monkeypatch.setattr(etafit.analysis, "one_blas_thread", recording)
+        model = small_dense_model()
+        expected = etafit.analysis.asymptote_coefficients(model)
+        assert entered == [[1] * len(blas_thread_counts())]
         monkeypatch.setattr(etafit.model, "_openblas_thread_controls",
                             lambda: ())
-        unscoped = estimate_variances(small_tapered_model())
-        assert report_without_timing(unscoped) == \
-            report_without_timing(scoped)
+        # the unscoped products on two threads agree to rounding
+        np.testing.assert_allclose(
+            dataclasses.astuple(etafit.analysis.asymptote_coefficients(model)),
+            dataclasses.astuple(expected), rtol=1e-12)
+
+    def test_fit_without_openblas_gives_the_same_report(self, monkeypatch):
+        sparse_scoped = estimate_variances(small_tapered_model())
+        dense_scoped = estimate_variances(small_dense_model())
+        monkeypatch.setattr(etafit.model, "_openblas_thread_controls",
+                            lambda: ())
+        assert report_without_timing(estimate_variances(
+            small_tapered_model())) == report_without_timing(sparse_scoped)
+        # the unscoped dense reduction runs on two threads, which may round
+        # differently from one: the reports agree to 1e-9, not bitwise
+        dense = estimate_variances(small_dense_model())
+        assert dense.outcome == dense_scoped.outcome
+        for name in ("sigma2", "sigma02", "eta"):
+            assert getattr(dense.hyperparams, name) == pytest.approx(
+                getattr(dense_scoped.hyperparams, name), rel=1e-9)
+        assert dense.ell_max == pytest.approx(dense_scoped.ell_max,
+                                              rel=1e-9)
 
 
 def test_import_does_not_look_for_openblas():

@@ -210,6 +210,39 @@ def test_thread_policy_lives_in_model_without_environment_settings():
     assert imports_ctypes == ["model.py"]
 
 
+def cache_uses(tree):
+    """Where a module uses ``functools.cache`` or ``functools.lru_cache``:
+    the name of each function they decorate, or the line of any other
+    use."""
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in ("cache", "lru_cache")}
+    refs = {node for node in ast.walk(tree)
+            if dotted(node) in ("functools.cache", "functools.lru_cache")
+            or (isinstance(node, ast.Name) and node.id in bound)}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = (decorator.func if isinstance(decorator, ast.Call)
+                          else decorator)
+                if target in refs:
+                    refs.discard(target)
+                    uses.append(node.name)
+    return uses + [f"line {node.lineno}" for node in refs]
+
+
+def test_no_unbounded_cache_beside_the_distance_memo():
+    # a functools cache keeps every argument and result for the life of
+    # the process; array data is memoized only by the one-entry distance
+    # memo of kernels, and only the OpenBLAS lookup is cached
+    found = {}
+    for path in sorted((ROOT / "src" / "etafit").glob("*.py")):
+        if uses := cache_uses(ast.parse(path.read_text())):
+            found[path.stem] = uses
+    assert found == {"model": ["_openblas_thread_controls"]}
+
+
 # calls that pass a value which is now derived from another input or is a
 # constant; each takes a small model (``removed_argument_model``)
 REMOVED_ARGUMENTS = {
