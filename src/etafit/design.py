@@ -27,15 +27,12 @@ class BasisSpec:
 
     family: str
     order: int = 0
-    dimension: int = 2
 
     def __post_init__(self):
         if self.family not in ("polynomial", "trigonometric"):
             raise InputError(f"unknown basis family {self.family!r}")
         if self.family == "polynomial" and self.order < 0:
             raise InputError("polynomial order must be nonnegative")
-        if self.dimension < 1:
-            raise InputError("dimension must be >= 1")
 
 
 @dataclass
@@ -67,11 +64,11 @@ def monomial_exponents(q: int, d: int) -> list[tuple[int, ...]]:
     return exps
 
 
-def n_basis(spec: BasisSpec) -> int:
-    """Number of basis columns m."""
+def n_basis(spec: BasisSpec, d: int) -> int:
+    """Number of basis columns m over d-dimensional points."""
     if spec.family == "polynomial":
-        return math.comb(spec.order + spec.dimension, spec.dimension)
-    return 2 * spec.dimension
+        return math.comb(spec.order + d, d)
+    return 2 * d
 
 
 def numerical_rank(svals: np.ndarray, n: int) -> int:
@@ -85,10 +82,7 @@ def build_design(points: np.ndarray, spec: BasisSpec) -> DesignMatrix:
     if not np.all(np.isfinite(pts)):
         raise InputError("points must be finite")
     n, d = pts.shape
-    if d != spec.dimension:
-        raise InputError(f"points are {d}-dimensional but the basis expects "
-                         f"{spec.dimension}")
-    m = n_basis(spec)
+    m = n_basis(spec, d)
     if n <= m:
         raise InputError(f"need more points than basis functions (n={n}, m={m})")
 

@@ -7,19 +7,18 @@ distance.  An optional taper zeroes every value at or below a threshold
 ``kappa``, which makes the correlation matrix sparse for small ``alpha``.
 
 Dense assembly evaluates the kernel on one triangle (the condensed
-``pdist`` vector) and mirrors it, so symmetry is exact.  The general
-Matern branch calls the Bessel function once per distinct distance, which
-on a grid is a few hundred calls instead of one per pair.
+``pdist`` vector) and mirrors it, so symmetry is exact.  ``kernel_profile``
+is elementwise; ``correlation_matrix`` alone deduplicates distances, so
+the general Matern branch calls the Bessel function once per distinct
+distance (on a grid, a few hundred calls instead of one per pair).
 
-That branch reads the distinct pair distances from a one-entry memo,
+Dense, that branch reads the distinct distances from a one-entry memo,
 since a kernel search assembles K over the same points at every step.
-The memo is keyed on the points' shape and bytes, and holds the sorted
-distinct distances and the index that expands them back to the condensed
-pair vector (``np.unique(pdist(points), return_inverse=True)``).  A
-second assembly over equal points skips ``pdist`` and the sort; points
-that differ in any bit, or in shape, replace the entry.  The other
-branches evaluate their closed forms on every pair and leave the memo
-alone.
+The memo is keyed on the points' shape and bytes, and holds
+``np.unique(pdist(points), return_inverse=True)``.  A hit skips ``pdist``
+and the sort; points that differ in any bit, or in shape, replace the
+entry.  Tapered assembly sorts its pair distances instead, and the other
+branches evaluate every pair; neither touches the memo.
 """
 
 from __future__ import annotations
@@ -48,11 +47,18 @@ MATERN_GAUSSIAN_NU = 25.0
 # tracemalloc measured 2.5 (exponential, Gaussian) and 3.0 (half-integer
 # Matern) at n = 2500 and n = 1500.  The general Matern branch peaks when
 # it misses the distance memo on scattered points, whose pair distances
-# are all distinct: 6.12 at n = 400 and 900, while the memo's distinct
-# distances and index (1.0) are alive beside the profile's temporaries
-# over them.  On a grid its miss peaks at 3.06 and its hit at 1.5.
+# are all distinct: 4.14 at n = 400 and 4.12 at n = 900, the memo's
+# distinct distances and index (1.0) beside the profile's temporaries
+# (a hit: 3.12).  On a grid its miss peaks at 3.06 and its hit at 1.5.
 DENSE_ASSEMBLY_COPIES = 3.0
-BESSEL_ASSEMBLY_COPIES = 6.2
+BESSEL_ASSEMBLY_COPIES = 4.2
+
+# Peak memory of tapered sparse assembly in bytes per stored entry of K,
+# K included: the KD-tree pairs, their distances and kernel values, and
+# the COO triplets that become CSR.  At n = 4096 and 16384, 9 to 880
+# entries per row, tracemalloc measured 60.4 to 60.5 on every branch
+# (61.3 at n = 144), and the growth of peak RSS was 64.1.
+SPARSE_ASSEMBLY_BYTES_PER_ENTRY = 65.0
 
 # Where available_memory reads the host's free memory and the limits of
 # this process's cgroup.
@@ -142,20 +148,16 @@ def _matern_half_integer(p: int, x: np.ndarray) -> np.ndarray:
 
 
 def _matern_general(nu: float, x: np.ndarray) -> np.ndarray:
-    """General-order Matern profile 2^(1-nu)/Gamma(nu) x^nu K_nu(x).
-
-    The profile is evaluated once per distinct scaled distance and
-    scattered back, since each Bessel call is costly and grids repeat
-    distances many times.
-    """
+    """General-order Matern profile 2^(1-nu)/Gamma(nu) x^nu K_nu(x) on
+    every element; ``correlation_matrix`` passes distinct distances, since
+    each Bessel call is costly."""
     out = np.ones_like(x)
     live = x > _TINY_SCALED_DISTANCE
-    xl, inverse = np.unique(x[live], return_inverse=True)
+    xl = x[live]
     log_pref = (1.0 - nu) * math.log(2.0) - gammaln(nu)
     val = np.exp(log_pref + nu * np.log(xl)) * kv(nu, xl)
     # kv underflows to 0 for large x: the true value is ~0 there.
-    val = np.where(np.isfinite(val), val, 0.0)
-    out[live] = val[inverse]
+    out[live] = np.where(np.isfinite(val), val, 0.0)
     return out
 
 
@@ -308,11 +310,10 @@ def _mib(nbytes: float) -> str:
     return f"{mib:.0f}" if mib >= 1.0 else f"{mib:.2g}"
 
 
-def _memory_shortfall(n: int, copies: float, what: str) -> str | None:
-    """What ``copies`` n x n arrays of doubles need for ``what`` against
-    the available memory (``available_memory``), when it cannot hold
-    them; None when it can or is unknown."""
-    need = 8.0 * copies * n * n
+def _memory_shortfall(need: float, what: str) -> str | None:
+    """What ``need`` bytes for ``what`` come to against the available
+    memory (``available_memory``), when it cannot hold them; None when it
+    can or is unknown."""
     have = available_memory()
     if have is None or need <= have:
         return None
@@ -324,7 +325,7 @@ def require_dense_memory(n: int, copies: float, what: str) -> None:
     """Raise InputError before an allocation of ``copies`` n x n arrays of
     doubles that the available memory cannot hold, instead of letting the
     operating system kill the process."""
-    if shortfall := _memory_shortfall(n, copies, what):
+    if shortfall := _memory_shortfall(8.0 * copies * n * n, what):
         raise InputError(f"{copies:g} dense n x n arrays at n={n} need "
                          f"{shortfall}")
 
@@ -332,7 +333,7 @@ def require_dense_memory(n: int, copies: float, what: str) -> None:
 def require_dense_K_memory(n: int, copies: float, what: str) -> None:
     """``require_dense_memory`` for K stored dense, advising the sparse
     storage of a tapered kernel, which a copy of sparse K cannot use."""
-    if shortfall := _memory_shortfall(n, copies, what):
+    if shortfall := _memory_shortfall(8.0 * copies * n * n, what):
         raise InputError(f"dense K at n={n} needs {shortfall}; use a tapered "
                          f"kernel (such as exp:0.1:taper=0.05) for sparse "
                          f"storage")
@@ -349,8 +350,9 @@ def correlation_matrix(points: np.ndarray,
 
     With a positive taper threshold the matrix is assembled in CSR storage
     from a KD-tree neighbor query; otherwise it is dense.  Symmetry is exact
-    by construction and the diagonal is exactly 1.  Dense assembly raises
-    InputError up front when the memory available cannot hold it.
+    by construction and the diagonal is exactly 1.  Assembly raises
+    InputError up front when the memory available cannot hold it; sparse
+    assembly counts the entries it will store before it lists them.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
@@ -364,15 +366,25 @@ def correlation_matrix(points: np.ndarray,
     if kernel.taper_threshold > 0.0:
         radius = taper_radius(kernel)
         tree = cKDTree(pts)
+        # every stored entry: both orders of each pair and the diagonal
+        nnz = int(tree.count_neighbors(tree, radius))
+        need = SPARSE_ASSEMBLY_BYTES_PER_ENTRY * nnz
+        if shortfall := _memory_shortfall(need, "its assembly"):
+            raise InputError(
+                f"sparse K at n={n} with {nnz} stored entries needs "
+                f"{shortfall}; use a larger taper threshold or a shorter "
+                f"range (smaller alpha)")
         pairs = tree.query_pairs(r=radius, output_type="ndarray")
-        if pairs.size:
-            dists = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-            vals = kernel_profile(kernel, dists)
-            keep = vals > 0.0
-            pairs, dists, vals = pairs[keep], dists[keep], vals[keep]
+        dists = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+        if _bessel_matern(kernel):
+            distinct, inverse = np.unique(dists, return_inverse=True)
+            vals = kernel_profile(kernel, distinct)[inverse]
+            # freed before the CSR arrays, which set the peak
+            del distinct, inverse
         else:
-            dists = np.empty(0)
-            vals = np.empty(0)
+            vals = kernel_profile(kernel, dists)
+        keep = vals > 0.0
+        pairs, dists, vals = pairs[keep], dists[keep], vals[keep]
         has_duplicates = bool(np.any(dists == 0.0))
         rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(n)])

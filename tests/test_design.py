@@ -17,7 +17,7 @@ def grid_points(s):
 class TestBasisCounts:
     @pytest.mark.parametrize("q", range(7))
     def test_polynomial_count_closed_form(self, q):
-        assert n_basis(BasisSpec("polynomial", q)) == (q + 1) * (q + 2) // 2
+        assert n_basis(BasisSpec("polynomial", q), 2) == (q + 1) * (q + 2) // 2
 
     def test_second_order_has_six_columns(self):
         X = build_design(grid_points(6), BasisSpec("polynomial", 2))
@@ -77,7 +77,7 @@ class TestBuildDesign:
     @given(q=st.integers(0, 4), seed=st.integers(0, 1000))
     def test_random_points_give_full_rank(self, q, seed):
         rng = np.random.default_rng(seed)
-        m = n_basis(BasisSpec("polynomial", q))
+        m = n_basis(BasisSpec("polynomial", q), 2)
         pts = rng.uniform(size=(m + 10, 2))
         X = build_design(pts, BasisSpec("polynomial", q))
         assert np.linalg.matrix_rank(X.entries) == X.m

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 from scipy.special import gammaln, kv
 
@@ -290,6 +293,82 @@ class TestOneTriangleAssembly:
         assert 0 < sum(arguments) <= np.unique(pdist(pts)).size
 
 
+def _pair_distances(pts, kernel):
+    """The KD-tree pairs within the taper radius and their distances."""
+    pairs = cKDTree(pts).query_pairs(taper_radius(kernel),
+                                     output_type="ndarray")
+    return pairs, np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+
+
+def _pairwise_sparse_assembly(pts, kernel):
+    """Reference tapered assembly: the profile evaluated on every pair."""
+    n = len(pts)
+    pairs, dists = _pair_distances(pts, kernel)
+    vals = kernel_profile(kernel, dists)
+    keep = vals > 0.0
+    pairs, dists, vals = pairs[keep], dists[keep], vals[keep]
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(n)])
+    data = np.concatenate([vals, vals, np.ones(n)])
+    K = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return K, bool(np.any(dists == 0.0))
+
+
+TAPERED_KERNELS = [
+    CorrelationKernel("exponential", 0.1, taper_threshold=0.05),
+    CorrelationKernel("gaussian", 0.1, taper_threshold=0.05),
+    CorrelationKernel("matern", 0.1, nu=1.5, taper_threshold=0.05),
+    CorrelationKernel("matern", 0.1, nu=1.37, taper_threshold=0.05),
+    CorrelationKernel("matern", 0.1, nu=0.7, taper_threshold=0.2),
+    CorrelationKernel("matern", 0.1, nu=30.0, taper_threshold=0.05),
+    # a radius below every pair distance: no pairs, K = I
+    CorrelationKernel("exponential", 1e-4, taper_threshold=0.5),
+    CorrelationKernel("matern", 1e-4, nu=1.37, taper_threshold=0.5),
+]
+
+
+class TestTaperedAssembly:
+    @pytest.mark.parametrize("name", ["grid", "uniform", "3d", "duplicates",
+                                      "n1"])
+    @pytest.mark.parametrize("kernel", TAPERED_KERNELS,
+                             ids=lambda k: f"{k.family}-{k.nu}-{k.alpha}")
+    def test_bitwise_equal_to_pairwise_assembly(self, kernel, name):
+        pts = POINT_SETS[name]
+        expected, duplicates = _pairwise_sparse_assembly(pts, kernel)
+        K = correlation_matrix(pts, kernel)
+        assert K.storage == "sparse" and K.n == len(pts)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(K.entries, part),
+                                  getattr(expected, part))
+        assert K.has_duplicates == duplicates == (name == "duplicates")
+
+    def test_no_pairs_give_the_identity(self):
+        kernel = TAPERED_KERNELS[-1]
+        assert len(_pair_distances(grid_points(9), kernel)[0]) == 0
+        K = correlation_matrix(grid_points(9), kernel)
+        assert np.array_equal(K.toarray(), np.eye(81))
+        assert not K.has_duplicates
+
+    def test_bessel_called_once_per_distinct_distance(self, monkeypatch):
+        pts = grid_points(40)
+        kernel = CorrelationKernel("matern", 0.05, nu=1.3,
+                                   taper_threshold=0.05)
+        distinct = np.unique(_pair_distances(pts, kernel)[1])
+        # the radius is bisected on kernel values, which calls kv too
+        radius = taper_radius(kernel)
+        monkeypatch.setattr(etafit.kernels, "taper_radius", lambda k: radius)
+        arguments = []
+
+        def counting_kv(nu, x):
+            arguments.append(np.size(x))
+            return kv(nu, x)
+
+        monkeypatch.setattr(etafit.kernels, "kv", counting_kv)
+        K = correlation_matrix(pts, kernel)
+        assert K.entries.nnz > 10 * len(pts)
+        assert 0 < sum(arguments) <= distinct.size
+
+
 MEMO_KERNELS = [
     CorrelationKernel("exponential", 0.2),
     CorrelationKernel("gaussian", 0.2),
@@ -335,6 +414,23 @@ class TestDistanceMemo:
             K = correlation_matrix(pts, kernel)
             assert np.array_equal(K.toarray(), expected)
             assert K.has_duplicates == (name == "duplicates")
+
+    def test_a_hit_sorts_nothing(self, monkeypatch):
+        sorted_sizes = []
+        unique = np.unique
+
+        def counting(values, *args, **kwargs):
+            sorted_sizes.append(np.size(values))
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(etafit.kernels.np, "unique", counting)
+        kernel = CorrelationKernel("matern", 0.2, nu=1.37)
+        pts = POINT_SETS["uniform"]
+        correlation_matrix(pts, kernel)
+        # a miss sorts the 1770 pair distances once, a hit nothing
+        assert sorted_sizes == [1770]
+        correlation_matrix(pts, CorrelationKernel("matern", 0.3, nu=0.7))
+        assert sorted_sizes == [1770]
 
     def test_second_assembly_on_equal_points_skips_pdist(self, monkeypatch):
         calls = self.count_pdist(monkeypatch)
@@ -431,13 +527,92 @@ class TestDenseMemoryGuard:
                                CorrelationKernel("matern", 0.1, nu=1.7))
 
     def test_sparse_storage_and_unknown_memory_pass(self, monkeypatch):
-        self.limit(monkeypatch, 0.0)
+        # sparse K here stores 556 entries, about 0.05 n x n doubles to
+        # assemble
+        self.limit(monkeypatch, 0.1)
         K = correlation_matrix(self.points(), CorrelationKernel(
             "exponential", 0.01, taper_threshold=0.05))
         assert K.storage == "sparse"
         monkeypatch.setattr(etafit.kernels, "available_memory", lambda: None)
         correlation_matrix(self.points(), CorrelationKernel("exponential",
                                                             0.1))
+
+    def test_bessel_assembly_peaks_within_its_constant(self, monkeypatch):
+        # scattered points: every pair distance is distinct, so the memo
+        # holds a whole n x n array; n = 400 as in a kernel search
+        monkeypatch.setattr(etafit.kernels, "_distance_memo", None)
+        n = 400
+        pts = np.random.default_rng(4).uniform(size=(n, 2))
+        kernel = CorrelationKernel("matern", 0.1, nu=1.37)
+        for _ in ("miss", "hit"):
+            tracemalloc.start()
+            try:
+                correlation_matrix(pts, kernel)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * etafit.kernels.BESSEL_ASSEMBLY_COPIES * n ** 2
+
+    @pytest.mark.parametrize("nu", [0.5, 1.37])
+    def test_sparse_assembly_peaks_within_its_constant(self, nu):
+        # scattered points: every general Matern pair distance is distinct
+        pts = np.random.default_rng(4).uniform(size=(2500, 2))
+        kernel = CorrelationKernel("matern", 0.02, nu=nu,
+                                   taper_threshold=0.05)
+        tracemalloc.start()
+        try:
+            K = correlation_matrix(pts, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_entry = etafit.kernels.SPARSE_ASSEMBLY_BYTES_PER_ENTRY
+        assert peak <= per_entry * K.entries.nnz
+
+    def count_pair_listings(self, monkeypatch):
+        listed = []
+
+        class CountingTree(cKDTree):
+            def query_pairs(self, *args, **kwargs):
+                listed.append(args)
+                return super().query_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(etafit.kernels, "cKDTree", CountingTree)
+        return listed
+
+    def test_sparse_assembly_refused_before_listing_pairs(self, monkeypatch):
+        listed = self.count_pair_listings(monkeypatch)
+        pts = self.points()
+        kernel = CorrelationKernel("exponential", 0.01, taper_threshold=0.05)
+        tree = cKDTree(pts)
+        entries = tree.count_neighbors(tree, taper_radius(kernel))
+        need = etafit.kernels.SPARSE_ASSEMBLY_BYTES_PER_ENTRY * entries
+        monkeypatch.setattr(etafit.kernels, "available_memory",
+                            lambda: int(need) - 1)
+        with pytest.raises(InputError) as exc:
+            correlation_matrix(pts, kernel)
+        assert listed == []
+        message = str(exc.value)
+        assert f"n={self.n} with {entries} stored entries" in message
+        assert f"{need / 2**20:.2g} MiB" in message
+        assert "larger taper threshold" in message
+        # just above the need: assembled, and the count was K's nnz
+        monkeypatch.setattr(etafit.kernels, "available_memory",
+                            lambda: int(need) + 1)
+        K = correlation_matrix(pts, kernel)
+        assert len(listed) == 1 and K.entries.nnz == entries
+
+    def test_weak_taper_refused_where_dense_assembly_fits(self, monkeypatch):
+        # every pair lies within the radius, so sparse K stores n^2
+        # entries and needs 8 times dense assembly's 3 copies
+        listed = self.count_pair_listings(monkeypatch)
+        self.limit(monkeypatch, 4.0)
+        tapered = CorrelationKernel("exponential", 0.5, taper_threshold=0.01)
+        with pytest.raises(InputError, match=f"{self.n ** 2} stored entries"):
+            correlation_matrix(self.points(), tapered)
+        assert listed == []
+        K = correlation_matrix(self.points(), CorrelationKernel(
+            "exponential", 0.5))
+        assert K.storage == "dense"
 
     def test_tridiagonal_reduction_needs_one_copy(self, monkeypatch):
         from etafit.model import Solver

@@ -243,6 +243,21 @@ def test_no_unbounded_cache_beside_the_distance_memo():
     assert found == {"model": ["_openblas_thread_controls"]}
 
 
+def test_distances_are_deduplicated_in_correlation_matrix_alone():
+    # kernel_profile maps distances elementwise; only assembly finds the
+    # distinct distances, tapered in correlation_matrix and dense through
+    # the distance memo
+    tree = ast.parse((ROOT / "src" / "etafit" / "kernels.py").read_text())
+    owners = []
+    for statement in tree.body:
+        for node in ast.walk(statement):
+            if (dotted(node) in ("np.unique", "numpy.unique")
+                    or isinstance(node, ast.Name) and node.id == "unique"):
+                owners.append(getattr(statement, "name",
+                                      f"line {node.lineno}"))
+    assert sorted(owners) == ["_distinct_distances", "correlation_matrix"]
+
+
 # calls that pass a value which is now derived from another input or is a
 # constant; each takes a small model (``removed_argument_model``)
 REMOVED_ARGUMENTS = {
@@ -253,6 +268,8 @@ REMOVED_ARGUMENTS = {
     "CorrelationMatrix_diagnostics": lambda model: CorrelationMatrix(
         model.K.entries, diagnostics={}),
     "DesignMatrix_m": lambda model: DesignMatrix(model.X.entries, model.m),
+    "BasisSpec_dimension": lambda model: BasisSpec("polynomial", 1,
+                                                   dimension=2),
     "asymptote_large_n_approx": lambda model: analysis.asymptote_coefficients(
         model, True),
     "trace_inv_hutchinson_K": lambda model: trace_inv_hutchinson(
