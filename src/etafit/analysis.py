@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ModelError, NumericError
-from .model import GpModel, Solver, one_blas_thread
+from .model import GpModel, Solver, band_product
 
 INTERVAL_FLOOR = 1e-6
 INTERVAL_CEIL = 1e8
@@ -74,45 +74,43 @@ def ell_gap_bound(spec: SpectrumSummary, n: int, m: int, eta: float,
     return abs(0.5 * (n - m) * math.log(ratio))
 
 
-def _frobenius_sq(K) -> float:
-    """||K||_F^2 of a model's correlation matrix, in either storage."""
-    A = K.entries
-    if K.storage == "sparse":
-        return float(A.multiply(A).sum())
-    # einsum makes no n x n temporary, which would add a third n x n array
-    # to K and its tridiagonal reduction in a dense fit
-    return float(np.einsum("ij,ij->", A, A))
-
-
-def asymptote_coefficients(model: GpModel) -> AsymptoteCoefficients:
+def asymptote_coefficients(model: GpModel, *,
+                           solver: Solver) -> AsymptoteCoefficients:
     """Build the expansion coefficients a_i = y0' A_i y0 via matrix actions.
 
     Powers of N = K Q are never materialized; each a_i comes from nested
-    K-products and projections Q = I - U U' (U = ``GpModel.basis``) applied
-    to y0, the normalized ``residual``.  tr N and tr N^2 come from one
-    product KU.
+    K-products and projections Q = I - U U' applied to y0, the normalized
+    ``residual``, and tr N and tr N^2 from K U and ``Solver.frobenius_sq``.
+    All are read from the solver's Krylov state (T, E) of [U | z]
+    (``Solver.krylov_state``): U is the U-rows of E, y0 = E [-U'z; 1] /
+    ||residual||, and K is T with the solver's jitter taken off its
+    diagonal, so the coefficients describe K, not K + jitter I.  Dense K
+    is Q T Q' exactly; on sparse K, the block Lanczos T has at least 3
+    blocks, which give every form of degree <= 4 in K exactly (Golub &
+    Meurant, *Matrices, Moments and Quadrature*, 2010).
     """
     if model.degenerate:
         raise ModelError("observations lie in the range of the design "
                          "matrix; asymptote coefficients are undefined")
     n, m = model.n, model.m
-    U = model.basis
-    K = model.K.entries
+    state = solver.krylov_state(model)
+    T = state.band.copy()
+    T[0] -= solver.jitter
+    U = state.E[:, :m]
 
     def q_apply(v):
         return v - U @ (U.T @ v)
 
-    y0 = model.residual / np.linalg.norm(model.residual)
-    # products of K with thin blocks run on one thread, as in the solver
-    with one_blas_thread():
-        KU = K @ U
-        v1 = K @ y0
-        v2 = K @ q_apply(v1)
-        v3 = K @ q_apply(v2)
-        v4 = K @ q_apply(v3)
+    c = np.append(-(model.basis.T @ model.z), 1.0)  # residual = [U | z] c
+    y0 = state.E @ c / np.linalg.norm(model.residual)
+    KU = band_product(T, U)
+    v1 = band_product(T, y0)
+    v2 = band_product(T, q_apply(v1))
+    v3 = band_product(T, q_apply(v2))
+    v4 = band_product(T, q_apply(v3))
     UKU = U.T @ KU
     trace_n = float(n - np.trace(UKU))
-    trace_n2 = float(_frobenius_sq(model.K) - 2.0 * np.sum(KU * KU)
+    trace_n2 = float(solver.frobenius_sq() - 2.0 * np.sum(KU * KU)
                      + np.sum(UKU * UKU))
 
     t1 = trace_n / (n - m)

@@ -308,7 +308,7 @@ def cmd_plotdata(args) -> int:
 
     etas = np.logspace(math.log10(lo), math.log10(hi), args.grid_points)
     spectrum = analysis.spectrum_bounds(solver)
-    coeffs = analysis.asymptote_coefficients(model)
+    coeffs = analysis.asymptote_coefficients(model, solver=solver)
 
     d_vals = [likelihood.d_ell_deta(model, e, solver, traces) for e in etas]
     rows = ["eta,d_ell,bound_lo,bound_hi,asymptote_1,asymptote_2,is_root"]

@@ -406,7 +406,7 @@ def estimate_variances(model: GpModel,
             f"K is indefinite (lambda_min = "
             f"{spectrum.lambda_min - solver.jitter:.3e}); solves, "
             f"log-determinants and traces use K + {solver.jitter:.3e} I")
-    coeffs = analysis.asymptote_coefficients(model)
+    coeffs = analysis.asymptote_coefficients(model, solver=solver)
     roots1 = analysis.asymptote_roots(coeffs, 1)
     roots2 = analysis.asymptote_roots(coeffs, 2)
     interval = analysis.search_interval(spectrum, roots1 + roots2)
@@ -622,7 +622,7 @@ def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
     Every objective evaluation runs the full profiled variance estimation
     for the kernel at (alpha, nu); the search itself is Nelder-Mead in
     log10 coordinates.  Inner failures are treated as rejected simplex
-    moves.
+    moves; at the initial point, the InputError says why it was rejected.
     """
     started = time.perf_counter()
     priors = priors or PriorSpec()
@@ -632,27 +632,38 @@ def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
     counters = {"ell": 0, "deriv": 0, "root_iters": 0, "inner": 0,
                 "failures": 0, "singular": 0}
 
+    rejection = None  # why the last call of the objective returned inf
+
     def objective(u):
+        nonlocal rejection
+        rejection = None
         alpha, nu = 10.0 ** u[0], 10.0 ** u[1]
         if not NU_BOUNDS[0] <= nu <= NU_BOUNDS[1]:
+            rejection = f"nu lies outside {NU_BOUNDS}"
             return math.inf
         lp = priors.log_pdf(alpha, nu)
         if not np.isfinite(lp):
+            rejection = "the prior density is zero"
             return math.inf
         counters["inner"] += 1
         try:
             rep = estimate_variances(model_builder(alpha, nu), config=config)
-        except NumericError:
+        except NumericError as exc:
             counters["failures"] += 1
+            rejection = f"the fit raised {type(exc).__name__}: {exc}"
             return math.inf
         if rep.outcome == OUTCOME_DEGENERATE:
             counters["failures"] += 1
+            rejection = ("the fit is degenerate: the observations lie in "
+                         "the range of the design matrix")
             return math.inf
         if rep.outcome == OUTCOME_ERROR and rep.diagnostics["jitter"] > 0.0:
             # sigma0 = 0 on a K that is singular at working precision: the
             # reported covariance sigma2 K is itself singular, and its
             # likelihood is set by the jitter, not by the data
             counters["singular"] += 1
+            rejection = ("the fit is rejected as singular: sigma0 = 0 on a "
+                         "K that is singular at working precision")
             return math.inf
         counters["ell"] += rep.n_ell_evals
         counters["deriv"] += rep.n_deriv_evals
@@ -660,8 +671,15 @@ def profile_optimize(model_builder, init, priors: PriorSpec | None = None,
         return -(rep.ell_max + lp)
 
     u0 = np.log10([alpha0, nu0])
-    res = nelder_mead(objective, u0, tol=tol, max_evals=max_evals,
-                      initial_step=0.25)
+    try:
+        res = nelder_mead(objective, u0, tol=tol, max_evals=max_evals,
+                          initial_step=0.25)
+    except InputError as exc:
+        # set only when the search stopped at the initial point's rejection
+        if rejection is None:
+            raise
+        raise InputError(f"{exc} (alpha = {alpha0:g}, nu = {nu0:g}): "
+                         f"{rejection}") from None
     alpha_hat, nu_hat = 10.0 ** res.x[0], 10.0 ** res.x[1]
 
     final = estimate_variances(model_builder(alpha_hat, nu_hat),

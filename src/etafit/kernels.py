@@ -352,7 +352,8 @@ def correlation_matrix(points: np.ndarray,
     from a KD-tree neighbor query; otherwise it is dense.  Symmetry is exact
     by construction and the diagonal is exactly 1.  Assembly raises
     InputError up front when the memory available cannot hold it; sparse
-    assembly counts the entries it will store before it lists them.
+    assembly counts the entries it will store before it lists them, unless
+    n^2 entries would fit.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
@@ -366,14 +367,17 @@ def correlation_matrix(points: np.ndarray,
     if kernel.taper_threshold > 0.0:
         radius = taper_radius(kernel)
         tree = cKDTree(pts)
-        # every stored entry: both orders of each pair and the diagonal
-        nnz = int(tree.count_neighbors(tree, radius))
-        need = SPARSE_ASSEMBLY_BYTES_PER_ENTRY * nnz
-        if shortfall := _memory_shortfall(need, "its assembly"):
-            raise InputError(
-                f"sparse K at n={n} with {nnz} stored entries needs "
-                f"{shortfall}; use a larger taper threshold or a shorter "
-                f"range (smaller alpha)")
+        # the stored entries (both orders of each pair and the diagonal)
+        # are counted only when n^2 of them may not fit
+        if _memory_shortfall(SPARSE_ASSEMBLY_BYTES_PER_ENTRY * n * n,
+                             "its assembly"):
+            nnz = int(tree.count_neighbors(tree, radius))
+            need = SPARSE_ASSEMBLY_BYTES_PER_ENTRY * nnz
+            if shortfall := _memory_shortfall(need, "its assembly"):
+                raise InputError(
+                    f"sparse K at n={n} with {nnz} stored entries needs "
+                    f"{shortfall}; use a larger taper threshold or a "
+                    f"shorter range (smaller alpha)")
         pairs = tree.query_pairs(r=radius, output_type="ndarray")
         dists = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
         if _bessel_matern(kernel):

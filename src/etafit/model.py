@@ -43,9 +43,10 @@ DEGENERACY_RTOL = 1e-12
 JITTER_SCALE = 1e-10
 
 # Block Lanczos stops once G_1..G_3 at eta = 0 change by at most
-# LANCZOS_TOL in one step, and fails after LANCZOS_STEPS_PER_POINT * n
-# steps.
+# LANCZOS_TOL in one step, but not before LANCZOS_MIN_STEPS steps, and
+# fails after LANCZOS_STEPS_PER_POINT * n steps.
 LANCZOS_TOL = 1e-10
+LANCZOS_MIN_STEPS = 3
 LANCZOS_STEPS_PER_POINT = 10
 
 # starting fraction of the sparse lambda_min bound below the lowest Ritz value
@@ -129,26 +130,24 @@ class Solver:
     spectrum bounds are the extreme Ritz values of the default probe run,
     lambda_min lowered until an LU of K - lambda_min I certifies it.
     Sparse storage applies no jitter and has no full spectrum (``eigvals``
-    is None), and the Lanczos runs need K itself positive definite, since
-    they converge at eta = 0.
+    is None), and the Gram matrices need K itself positive definite, since
+    the Lanczos runs converge at eta = 0.
 
-    Products with thin n x b blocks run on one OpenBLAS thread
-    (``one_blas_thread``) in either storage: each Lanczos run, and the
-    rotation Q'B of a Krylov state.  On two threads they ran slower (at
-    n = 16384, 2 cores, the probe run took 0.52-0.55 s on one thread
-    against 1.45-2.29 s on two).  The dense reduction runs on one thread
-    below THREADED_REDUCTION_MIN_N points and on every thread from it on,
-    where ``dsytrd`` gains from them.  The setting is process-wide while a
-    scope lasts.  The per-eta banded algebra and SuperLU keep every
-    thread.
+    Thin n x b products (each Lanczos run, the rotation Q'B of a Krylov
+    state) run on one OpenBLAS thread, as does the dense reduction below
+    THREADED_REDUCTION_MIN_N points (``one_blas_thread``; timings in the
+    README, "Numerical notes").  The per-eta banded algebra and SuperLU
+    keep every thread.
 
     ``grams`` and ``probe_grams`` read a block's Gram matrices from its
     ``KrylovState``, by one banded Cholesky per eta in either storage.
     ``grams`` gives the likelihood everything it needs from [U | z] as
     (m+1) x (m+1) Gram matrices, so no n x n work and no n-length vector
-    leaves the solver per eta.  A solver is bound to one correlation
-    matrix, and keeps two Krylov states: that of the model ``grams`` last
-    served, and that of the probe block ``probe_grams`` last served.
+    leaves the solver per eta.  ``krylov_state`` and ``frobenius_sq``
+    serve the asymptote, so no other module reads K.  A solver is bound
+    to one correlation matrix, and keeps two Krylov states: that of the
+    model ``grams`` last served, and that of the probe block
+    ``probe_grams`` last served.
     """
 
     def __init__(self, K: CorrelationMatrix):
@@ -213,10 +212,28 @@ class Solver:
         k steps.
         """
         _check_eta(eta)
+        return _banded_grams(self.krylov_state(model), eta, count)
+
+    def krylov_state(self, model: GpModel) -> KrylovState:
+        """The ``KrylovState`` of R = [U | z] behind ``grams``, built once
+        for the model the solver last served and kept: (T + jitter I, Q'R)
+        on dense K, one block Lanczos run on R on sparse K."""
         if self._per_model is None or self._per_model[0] is not model:
             R = np.column_stack([model.basis, model.z])
             self._per_model = (model, self._krylov_state(R))
-        return _banded_grams(self._per_model[1], eta, count)
+        return self._per_model[1]
+
+    def frobenius_sq(self) -> float:
+        """||K||_F^2 by pairwise sums (a dot product rounds worse): of the
+        squared stored entries of sparse K, and of d^2 + 2 e^2 over the
+        diagonal d and off-diagonal e of T - jitter I on dense K."""
+        if self._band is None:
+            A = self.K.entries.tocsr()  # no copy of K as assembled
+            A.sum_duplicates()
+            return float(np.sum(A.data * A.data))
+        d = self._band[0] - self.jitter
+        e = self._band[1, :-1]
+        return float(np.sum(d * d) + 2.0 * np.sum(e * e))
 
     def probe_grams(self, n_vectors: int, seed: int, eta: float,
                     count: int) -> list:
@@ -403,12 +420,12 @@ def one_blas_thread():
     threads run on one thread too.  Without an OpenBLAS it does nothing.
 
     It is the one thread policy of the package: products with thin n x b
-    blocks (block Lanczos, the rotation Q'B of a dense Krylov state and
-    ``analysis.asymptote_coefficients``) run under it at every n, and the
-    dense reduction below THREADED_REDUCTION_MIN_N points.  A threaded
-    call wakes the sleeping OpenBLAS workers (about 7.5 ms once they have
-    idled, on 2 cores) and leaves them spinning after it, which in a
-    kernel search cost twice the CPU time for no gain in wall time."""
+    blocks (block Lanczos, the rotation Q'B of a dense Krylov state) run
+    under it at every n, and the dense reduction below
+    THREADED_REDUCTION_MIN_N points.  A threaded call wakes the sleeping
+    OpenBLAS workers (about 7.5 ms once they have idled, on 2 cores) and
+    leaves them spinning after it, which in a kernel search cost twice the
+    CPU time for no gain in wall time."""
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]
     try:
@@ -423,11 +440,13 @@ def one_blas_thread():
 class KrylovState(NamedTuple):
     """A block R as T (lower band form) and E with R' K_eta^-p R =
     E' (T + eta I)^-p E after ``steps`` block Lanczos steps; 0 steps on
-    dense K, where T is the tridiagonal form of K and E = Q'R."""
+    dense K, where T is the tridiagonal form of K and E = Q'R.  Not
+    ``definite``: a Lanczos T, and so K, is not positive definite."""
 
     band: np.ndarray
     E: np.ndarray
     steps: int
+    definite: bool = True
 
 
 def block_lanczos(K, R: np.ndarray, tol: float,
@@ -444,19 +463,15 @@ def block_lanczos(K, R: np.ndarray, tol: float,
     run serves every eta, and only Q_{j-1}, Q_j and the residual block
     are n-length.  It runs until G_1..G_3 at eta = 0, where they
     converge slowest, change by at most ``tol`` relative to
-    sqrt(G_ii G_jj) in one step; ``max_iter`` caps the steps (one sparse
+    sqrt(G_ii G_jj) in one step, but takes at least LANCZOS_MIN_STEPS
+    steps: a T of 3 blocks gives every form of degree <= 4 in K exactly,
+    as the asymptote needs.  ``max_iter`` caps the steps (one sparse
     product K @ Q_j each).  Residual directions at rounding level are
     deflated, never normalized into new directions, and the run ends once
-    none remain (the Krylov space is exhausted and T is exact).
-
-    ``Solver`` runs it under one OpenBLAS thread (``one_blas_thread``):
-    on two threads its thin n x b products ran slower, not faster (at
-    n = 16384, 2 cores: the run on the 20 trace probes took 1.45-2.29 s
-    against 0.52-0.55 s, and that on the model's m + 1 columns 0.96-1.17 s
-    against 0.19 s).  The limit is process-wide while the run lasts, and
-    lifted after it.  The dense tridiagonal reduction keeps every thread
-    from THREADED_REDUCTION_MIN_N points on, where its ``dsytrd`` gains
-    from them.
+    none remain (the Krylov space is exhausted and T is exact).  A T that
+    is not positive definite ends the run after LANCZOS_MIN_STEPS steps,
+    with a state that is not ``definite``.  ``Solver`` runs it under one
+    OpenBLAS thread (``one_blas_thread``).
     """
     b = R.shape[1]
     Q, B1 = _deflated_qr(R, float(np.linalg.norm(R, axis=0).max()))
@@ -467,6 +482,7 @@ def block_lanczos(K, R: np.ndarray, tol: float,
     steps = 0
     Q_prev = coupling = previous = None
     change = math.inf
+    definite = True
     while Q.shape[1]:
         if steps == max_iter:
             raise SolverError(
@@ -488,17 +504,24 @@ def block_lanczos(K, R: np.ndarray, tol: float,
             block[:bj - c, c] = A[c:, c]
         band = np.hstack([band, block])
         E = np.vstack([B1, np.zeros((band.shape[1] - len(B1), b))])
-        current = _banded_grams(KrylovState(band, E, steps), 0.0, 3)
-        if previous is not None:
+        try:
+            current = _banded_grams(KrylovState(band, E, steps, definite),
+                                    0.0, 3)
+        except SolverError:
+            # T's Ritz values lie in K's spectrum: K is not positive
+            # definite, G_p at eta = 0 do not exist, and T serves only
+            # the forms of K
+            definite, current = False, None
+        if previous is not None and current is not None:
             change = max(_relative_change(g, h)
                          for g, h in zip(current, previous))
-            if change <= tol:
-                break
+        if (change <= tol or not definite) and steps >= LANCZOS_MIN_STEPS:
+            break
         previous = current
         Q_prev, (Q, coupling) = Q, _deflated_qr(W, scale)
         for c in range(bj):
             band[bj - c:bj - c + Q.shape[1], c - bj] = coupling[:, c]
-    return KrylovState(band, E, steps)
+    return KrylovState(band, E, steps, definite)
 
 
 def _banded_cholesky(band: np.ndarray, eta: float) -> np.ndarray:
@@ -513,13 +536,28 @@ def _banded_cholesky(band: np.ndarray, eta: float) -> np.ndarray:
     return L
 
 
+def band_product(band: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T X for a symmetric T in lower band form, band[i - j, j] = T[i, j],
+    and an array X with one row per row of T."""
+    B = band.reshape(band.shape + (1,) * (X.ndim - 1))
+    Y = B[0] * X
+    for d in range(1, len(band)):
+        Y[d:] += B[d, :-d] * X[:-d]
+        Y[:-d] += B[d, :-d] * X[d:]
+    return Y
+
+
 def _banded_grams(state: KrylovState, eta: float, count: int) -> list:
     """[G_1, ..., G_count] with G_p = E' (T + eta I)^-p E for the state
     (T, E) of a block R, from one banded Cholesky of T + eta I (T in lower
     band form, see ``_banded_cholesky``).
     With K = Q T Q' and E = Q'R, G_p = R' K_eta^-p R: dense K gives T and
     Q exactly (tridiagonal, Householder), sparse K gives them by block
-    Lanczos on R, where E = E_1 B_1 and G_p is a Gauss-quadrature form."""
+    Lanczos on R, where E = E_1 B_1 and G_p is a Gauss-quadrature form.
+    A state whose T is not positive definite raises SolverError."""
+    if not state.definite:
+        raise SolverError("K + 0.0 I is not positive definite (banded "
+                          "Cholesky)")
     L = _banded_cholesky(state.band, eta)
     Y = lapack.dpbtrs(L, state.E, lower=1)[0]
     grams = [state.E.T @ Y, Y.T @ Y][:count]

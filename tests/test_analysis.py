@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from etafit.analysis import (AsymptoteCoefficients, SpectrumSummary,
                              asymptote_coefficients, asymptote_d_ell,
                              asymptote_roots, derivative_bounds,
                              ell_gap_bound, search_interval, spectrum_bounds)
+from etafit.datagen import generate_synthetic
 from etafit.design import BasisSpec, build_design
 from etafit.errors import ModelError
 from etafit.kernels import (CorrelationKernel, CorrelationMatrix,
@@ -21,6 +23,43 @@ def dense_q_n(model):
     Q = np.eye(model.n) - X @ np.linalg.inv(X.T @ X) @ X.T
     N = model.K.toarray() @ Q
     return Q, N
+
+
+def dense_coefficients(model):
+    """(a0, a1, a2, a3, tr N, tr N^2) from dense matrix powers of N = K Q."""
+    Q, N = dense_q_n(model)
+    n, m = model.n, model.m
+    NN = N @ N
+    t1, t2 = np.trace(N) / (n - m), np.trace(NN) / (n - m)
+    zc = model.z / math.sqrt(model.z @ Q @ model.z)
+    p1, p2, p3, p4 = (zc @ Q @ P @ zc for P in (N, NN, NN @ N, NN @ NN))
+    return np.array([-t1 + p1, t2 + t1 * p1 - 2.0 * p2,
+                     -(t2 * p1 + t1 * p2 - 2.0 * p3), t2 * p2 - p4,
+                     np.trace(N), np.trace(NN)])
+
+
+def tapered_model(n=150, seed=59):
+    """exp:0.4 tapered at 0.3 over the points of a random model: K stored
+    sparse, and indefinite (lambda_min = -1.20 at the defaults)."""
+    model = random_model(n=n, q=0, seed=seed)
+    K = correlation_matrix(model.points, CorrelationKernel(
+        "exponential", 0.4, taper_threshold=0.3))
+    return GpModel(model.z, model.X, K, model.points)
+
+
+def near_identity_model():
+    """exp:0.0025 tapered at 1e-6 on the 1600-point grid: neighbours
+    correlate by 3.5e-5, and block Lanczos stops at 3 steps."""
+    ds = generate_synthetic(1600, 0.2, seed=23)
+    K = correlation_matrix(ds.points, CorrelationKernel(
+        "exponential", 0.0025, taper_threshold=1e-6))
+    X = build_design(ds.points, BasisSpec("polynomial", 2))
+    return GpModel(ds.z, X, K, ds.points)
+
+
+def with_dense_K(model):
+    return GpModel(model.z, model.X, CorrelationMatrix(model.K.toarray()),
+                   model.points)
 
 
 class TestSpectrumBounds:
@@ -126,11 +165,11 @@ class TestAsymptote:
         K = correlation_matrix(pts, CorrelationKernel("exponential", 0.2))
         model = GpModel(X.entries @ np.ones(3), X, K, pts)
         with pytest.raises(ModelError):
-            asymptote_coefficients(model)
+            asymptote_coefficients(model, solver=Solver(model.K))
 
     def test_coefficients_match_dense_construction(self):
         model = random_model(n=10, q=1, seed=56)
-        coeffs = asymptote_coefficients(model)
+        coeffs = asymptote_coefficients(model, solver=Solver(model.K))
         Q, N = dense_q_n(model)
         n, m = model.n, model.m
         t1 = np.trace(N) / (n - m)
@@ -164,7 +203,7 @@ class TestAsymptote:
     def test_asymptote_approaches_exact_derivative(self):
         model = random_model(n=100, q=1, seed=58, alpha=0.2)
         solver = dense_solver(model)
-        coeffs = asymptote_coefficients(model)
+        coeffs = asymptote_coefficients(model, solver=solver)
         rel_errs = []
         for eta in (1e3, 1e4, 1e5, 1e6):
             exact = d_ell_deta(model, eta, solver)
@@ -182,10 +221,44 @@ class TestAsymptote:
             "exponential", 0.4, taper_threshold=taper))
         assert K.storage == ("sparse" if taper else "dense")
         model = GpModel(model.z, model.X, K, model.points)
-        coeffs = asymptote_coefficients(model)
+        coeffs = asymptote_coefficients(model, solver=Solver(model.K))
         _, N = dense_q_n(model)
         assert coeffs.trace_n == pytest.approx(np.trace(N), rel=1e-9)
         assert coeffs.trace_n2 == pytest.approx(np.trace(N @ N), rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["indefinite_taper", "near_identity"])
+    def test_sparse_storage_gives_the_dense_coefficients(self, case):
+        # the coefficients read from a block Lanczos T equal those read
+        # from the tridiagonal form of the same K stored dense; near the
+        # identity they cancel terms of size 1 down to 1e-6, so there they
+        # agree to rounding of those terms, 1e-13
+        model = (tapered_model() if case == "indefinite_taper"
+                 else near_identity_model())
+        solver = Solver(model.K)
+        got = asymptote_coefficients(model, solver=solver)
+        if case == "near_identity":
+            assert solver.lanczos_steps == 3
+        dense = with_dense_K(model)
+        want = asymptote_coefficients(dense, solver=Solver(dense.K))
+        np.testing.assert_allclose(dataclasses.astuple(got),
+                                   dataclasses.astuple(want), rtol=1e-10,
+                                   atol=1e-13)
+
+    @pytest.mark.parametrize("case", ["indefinite_copy", "smooth_matern"])
+    def test_jittered_dense_K_gives_the_coefficients_of_K(self, case):
+        # the solver's T carries K + jitter I; the coefficients describe K
+        if case == "indefinite_copy":
+            model = with_dense_K(tapered_model())
+        else:
+            model = random_model(n=400, q=1, seed=64)
+            K = correlation_matrix(model.points,
+                                   CorrelationKernel("matern", 0.5, 20.0))
+            model = GpModel(model.z, model.X, K, model.points)
+        solver = Solver(model.K)
+        assert solver.jitter > 0.0
+        got = asymptote_coefficients(model, solver=solver)
+        np.testing.assert_allclose(dataclasses.astuple(got),
+                                   dense_coefficients(model), rtol=1e-9)
 
     def test_neumann_expansion_error_decays_like_eta_fourth(self):
         model = random_model(n=8, q=1, seed=60)
@@ -243,7 +316,7 @@ class TestSearchInterval:
             model = random_model(n=60, q=1, seed=seed, alpha=0.3)
             solver = dense_solver(model)
             spec = spectrum_bounds(solver)
-            coeffs = asymptote_coefficients(model)
+            coeffs = asymptote_coefficients(model, solver=solver)
             roots = asymptote_roots(coeffs, 1) + asymptote_roots(coeffs, 2)
             lo, hi = search_interval(spec, roots)
             grid = np.logspace(-6, 8, 141)

@@ -627,6 +627,41 @@ class TestKernelOptimization:
         with pytest.raises(InputError):
             profile_optimize(build, (0.1, 30.0), uniform_priors())
 
+    def test_initial_point_rejection_is_named(self):
+        # tapered matern:0.2:1.0 at 0.1 on 100 grid points is indefinite
+        # (11 negative eigenvalues): the inner fit's SolverError is the
+        # reason the search cannot start
+        from etafit.estimation import profile_optimize
+        ds = generate_synthetic(100, 0.2, seed=5)
+        X = build_design(ds.points, BasisSpec("polynomial", 2))
+
+        def build(alpha, nu):
+            K = correlation_matrix(ds.points, CorrelationKernel(
+                "matern", alpha, nu, taper_threshold=0.1))
+            return GpModel(ds.z, X, K, ds.points)
+
+        with pytest.raises(InputError) as exc:
+            profile_optimize(build, (0.2, 1.0))
+        assert str(exc.value) == (
+            "objective must be finite at the initial point (alpha = 0.2, "
+            "nu = 1): the fit raised SolverError: K + 0.0 I is not positive "
+            "definite (indefinite or singular): 11 negative eigenvalue(s) "
+            "(sparse LDL' inertia)")
+
+    def test_degenerate_initial_point_is_named(self):
+        from etafit.estimation import profile_optimize
+        ds = generate_synthetic(64, 0.2, seed=14)
+        plain = self.builder_for(ds)
+
+        def build(alpha, nu):
+            model = plain(alpha, nu)
+            return GpModel(model.X.entries @ np.ones(model.m), model.X,
+                           model.K, model.points)
+
+        with pytest.raises(InputError, match="initial point .*: the fit is "
+                           "degenerate"):
+            profile_optimize(build, (0.1, 1.0))
+
     def test_direct_optimize_quadratic_sanity(self):
         ds = generate_synthetic(64, 0.2, seed=15)
         build = self.builder_for(ds)

@@ -601,6 +601,26 @@ class TestDenseMemoryGuard:
         K = correlation_matrix(pts, kernel)
         assert len(listed) == 1 and K.entries.nnz == entries
 
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_entries_counted_only_when_n_squared_may_not_fit(self,
+                                                             monkeypatch,
+                                                             fits):
+        counted = []
+
+        class CountingTree(cKDTree):
+            def count_neighbors(self, *args, **kwargs):
+                counted.append(args)
+                return super().count_neighbors(*args, **kwargs)
+
+        monkeypatch.setattr(etafit.kernels, "cKDTree", CountingTree)
+        full = etafit.kernels.SPARSE_ASSEMBLY_BYTES_PER_ENTRY * self.n ** 2
+        monkeypatch.setattr(etafit.kernels, "available_memory",
+                            lambda: int(full) - (0 if fits else 1))
+        K = correlation_matrix(self.points(), CorrelationKernel(
+            "exponential", 0.01, taper_threshold=0.05))
+        assert K.storage == "sparse"
+        assert len(counted) == (0 if fits else 1)
+
     def test_weak_taper_refused_where_dense_assembly_fits(self, monkeypatch):
         # every pair lies within the radius, so sparse K stores n^2
         # entries and needs 8 times dense assembly's 3 copies

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import math
 import os
@@ -12,7 +11,6 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
 
-import etafit.analysis
 import etafit.model
 from conftest import (dense_m1, dense_p, dense_solver, gls_beta, m_action,
                       oracle_traces, random_model)
@@ -469,7 +467,7 @@ def small_dense_model():
 @pytest.mark.usefixtures("two_blas_threads")
 class TestOneBlasThread:
     """Products with thin blocks (block Lanczos, the rotation of a dense
-    Krylov state, the asymptote's) run under one OpenBLAS thread, and so
+    Krylov state) run under one OpenBLAS thread, and so
     does the dense reduction of K with fewer than THREADED_REDUCTION_MIN_N
     points; every library's thread count comes back after each."""
 
@@ -525,27 +523,6 @@ class TestOneBlasThread:
         # the workspace query and the rotation of [U | z], at every n
         assert seen["dormqr"] == [ones, ones]
         assert blas_thread_counts() == [2] * len(ones)
-
-    def test_asymptote_products_run_on_one_thread(self, monkeypatch):
-        entered = []
-        scope = etafit.model.one_blas_thread
-
-        @contextlib.contextmanager
-        def recording():
-            with scope():
-                entered.append(blas_thread_counts())
-                yield
-
-        monkeypatch.setattr(etafit.analysis, "one_blas_thread", recording)
-        model = small_dense_model()
-        expected = etafit.analysis.asymptote_coefficients(model)
-        assert entered == [[1] * len(blas_thread_counts())]
-        monkeypatch.setattr(etafit.model, "_openblas_thread_controls",
-                            lambda: ())
-        # the unscoped products on two threads agree to rounding
-        np.testing.assert_allclose(
-            dataclasses.astuple(etafit.analysis.asymptote_coefficients(model)),
-            dataclasses.astuple(expected), rtol=1e-12)
 
     def test_fit_without_openblas_gives_the_same_report(self, monkeypatch):
         sparse_scoped = estimate_variances(small_tapered_model())

@@ -294,6 +294,24 @@ class TestLanczosGrams:
         with pytest.raises(SolverError, match="stopped after 2 of 2 steps"):
             solver.grams(sparse_problem, 0.5, 2)
 
+    @pytest.mark.parametrize("min_steps", [None, 1])
+    def test_three_steps_unless_exhausted(self, monkeypatch, min_steps):
+        # exp:0.002 tapered at 1e-6 on the 1600-point grid: neighbours
+        # correlate by 2.7e-6, and G_1..G_3 settle after 2 steps; the run
+        # takes a third, which the asymptote's forms of degree 4 need
+        ds = generate_synthetic(1600, 0.2, seed=23)
+        K = correlation_matrix(ds.points, CorrelationKernel(
+            "exponential", 0.002, taper_threshold=1e-6))
+        X = build_design(ds.points, BasisSpec("polynomial", 2))
+        R = np.column_stack([GpModel(ds.z, X, K, ds.points).basis, ds.z])
+        if min_steps is not None:
+            monkeypatch.setattr(etafit.model, "LANCZOS_MIN_STEPS", min_steps)
+        assert block_lanczos(K.entries, R, 1e-10, 100).steps == \
+            (3 if min_steps is None else 2)
+        # an exhausted Krylov space still ends the run at once
+        assert block_lanczos(sparse.identity(1600, format="csr"), R, 1e-10,
+                             100).steps == 1
+
 
 def duplicate_point_K():
     """Tapered K on 200 points with points 0 and 1 coincident: K has two

@@ -192,6 +192,17 @@ def test_design_entries_are_read_by_the_model_alone():
     assert readers == ["model.py"]
 
 
+def test_asymptote_reads_the_solver_not_K():
+    # the asymptote comes from the solver's Krylov state of [U | z]: it
+    # reads no stored entries, densifies nothing and makes no product with
+    # K of its own, so it needs no thread scope
+    tree = ast.parse((ROOT / "src" / "etafit" / "analysis.py").read_text())
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    names |= set(imported_names(tree))
+    assert not names & {"entries", "toarray", "one_blas_thread"}
+
+
 def test_thread_policy_lives_in_model_without_environment_settings():
     # OpenBLAS reads its environment once, when it loads, so no module
     # touches the environment; the thread count of block Lanczos is set
